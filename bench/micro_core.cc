@@ -11,6 +11,7 @@
 #include "pgsim/bounds/embedding_cuts.h"
 #include "pgsim/bounds/max_clique.h"
 #include "pgsim/bounds/sip_bounds.h"
+#include "pgsim/common/thread_pool.h"
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/graph/mcs.h"
 #include "pgsim/graph/relaxation.h"
@@ -804,14 +805,14 @@ BENCHMARK(BM_QueryBatch_RelaxationCache)
     ->UseRealTime();
 
 // ---- Skewed batch (PR 6): mostly-cheap queries plus a few pathological  ----
-// ---- ones, under the chunked vs work-stealing batch schedulers. Small   ----
-// ---- queries are the expensive ones here — nearly every database graph  ----
-// ---- survives the structural filter, so each drags dozens of Karp-Luby  ----
+// ---- ones on the work-stealing task graph. Small queries are the        ----
+// ---- expensive ones here — nearly every database graph survives the     ----
+// ---- structural filter, so each drags dozens of Karp-Luby              ----
 // ---- verifications behind it — and they sit adjacent at the front of    ----
-// ---- the batch, so under the chunked scheduler one worker's chunk       ----
-// ---- swallows all of them while the rest of the pool drains the cheap   ----
-// ---- tail and idles. The stealing scheduler splits the hot queries'     ----
-// ---- candidates across idle workers. Answers are bit-identical.         ----
+// ---- the batch, where a whole-query chunk claim would leave one worker   ----
+// ---- holding all of them. The task graph splits the hot queries'        ----
+// ---- candidates across idle workers. Answers are bit-identical at every ----
+// ---- width.                                                              ----
 
 const std::vector<Graph>& GetSkewedQueries() {
   static const std::vector<Graph>* queries = [] {
@@ -844,9 +845,7 @@ void BM_QueryBatch_Skew(benchmark::State& state) {
   options.verifier.mc.min_samples = 1000;
   options.verifier.mc.max_samples = 1000;
   BatchOptions batch;
-  batch.scheduler = state.range(0) != 0 ? BatchOptions::Scheduler::kStealing
-                                        : BatchOptions::Scheduler::kChunked;
-  batch.num_threads = static_cast<uint32_t>(state.range(1));
+  batch.num_threads = static_cast<uint32_t>(state.range(0));
   size_t answers = 0;
   size_t stolen = 0;
   for (auto _ : state) {
@@ -862,12 +861,9 @@ void BM_QueryBatch_Skew(benchmark::State& state) {
   state.counters["stolen"] = static_cast<double>(stolen);
 }
 BENCHMARK(BM_QueryBatch_Skew)
-    ->Args({0, 1})  // chunked, 1 thread
-    ->Args({0, 4})  // chunked, 4 threads
-    ->Args({0, 0})  // chunked, all hardware threads
-    ->Args({1, 1})  // stealing, 1 thread
-    ->Args({1, 4})  // stealing, 4 threads
-    ->Args({1, 0})  // stealing, all hardware threads
+    ->Arg(1)  // 1 thread (inline)
+    ->Arg(4)  // 4 threads
+    ->Arg(0)  // all hardware threads
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

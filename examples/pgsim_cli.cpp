@@ -4,9 +4,8 @@
 //   pgsim_cli generate --out=db.txt [--graphs=N] [--vertices=N] [--seed=N]
 //   pgsim_cli index    --db=db.txt --out=index.pmi [--build-threads=N]
 //   pgsim_cli query    --db=db.txt --queries=q.txt [--index=index.pmi]
-//                      [--delta=N] [--epsilon=F] [--threads=N] [--chunk=N]
-//                      [--scheduler=stealing|chunked] [--task-grain=N]
-//                      [--build-threads=N] [--cache=0|1] [--verify-threads=N]
+//                      [--delta=N] [--epsilon=F] [--threads=N]
+//                      [--build-threads=N] [--cache=0|1]
 //                      [--answer-cache[=CAP]] [--repeat=N] [--mutate-every=N]
 //                      [--wal-dir=DIR] [--snapshot-every=N]
 //                      [--signatures=on|off]
@@ -33,16 +32,11 @@
 // and the reported answer counts stay identical — the live-maintenance
 // round-trip guarantee.
 //
-// --scheduler picks how the batch is distributed across --threads workers:
-// "stealing" (default) decomposes each query into a front-stages task plus
-// per-candidate verification tasks on a work-stealing scheduler (skewed
-// batches keep every worker busy); "chunked" is the plain parallel-for that
-// claims --chunk whole queries at a time. Answers are bit-identical either
-// way. --task-grain sets verification candidates per stealing task.
-//
-// --verify-threads fans each query's verification candidates across a pool
-// (0 = all hardware threads; answers are byte-identical at any setting). It
-// multiplies with --threads, so raise one or the other, not both.
+// --threads sets the width of the work-stealing scheduler the batch runs on
+// (1 = inline on the calling thread, 0 = all hardware threads): each query
+// is a front-stages task plus one verification task per candidate, so a
+// skewed batch keeps every worker busy. Answers are bit-identical at any
+// width.
 //
 // --build-threads parallelizes the offline phase (feature mining, PMI bound
 // columns, structural-filter counts) on a thread pool; 0 (default) uses all
@@ -70,9 +64,14 @@
 //                      [--delta=N] [--k=N]
 //   pgsim_cli sample-queries --db=db.txt --out=q.txt [--count=N] [--size=N]
 //   pgsim_cli stats    --db=db.txt
+//
+// Every subcommand rejects an argument that is not one of its own --flags
+// (exit code 2, naming the argument), so a misspelled or retired flag never
+// silently runs a different configuration.
 
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
 
@@ -124,6 +123,32 @@ bool FlagPresent(int argc, char** argv, const char* key) {
   return false;
 }
 
+// True (after printing the offender) when argv holds anything but a --flag
+// named in `known`; the caller exits with code 2.
+bool RejectUnknownFlags(int argc, char** argv,
+                        std::initializer_list<const char*> known) {
+  for (int i = 2; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--", 2) != 0) {
+      std::fprintf(stderr, "%s: unexpected argument '%s'\n", argv[1], arg);
+      return true;
+    }
+    const char* name = arg + 2;
+    const size_t len = std::strcspn(name, "=");
+    bool found = false;
+    for (const char* key : known) {
+      found = found || (std::strlen(key) == len &&
+                        std::strncmp(key, name, len) == 0);
+    }
+    if (!found) {
+      std::fprintf(stderr, "%s: unknown flag --%.*s\n", argv[1],
+                   static_cast<int>(len), name);
+      return true;
+    }
+  }
+  return false;
+}
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -147,6 +172,10 @@ LabelTable GeneratorLabels(uint32_t num_labels) {
 }
 
 int CmdGenerate(int argc, char** argv) {
+  if (RejectUnknownFlags(argc, argv,
+                         {"out", "graphs", "vertices", "labels", "seed"})) {
+    return 2;
+  }
   const std::string out = FlagStr(argc, argv, "out", "pgsim_db.txt");
   SyntheticOptions options;
   options.num_graphs = FlagInt(argc, argv, "graphs", 100);
@@ -164,6 +193,9 @@ int CmdGenerate(int argc, char** argv) {
 }
 
 int CmdSampleQueries(int argc, char** argv) {
+  if (RejectUnknownFlags(argc, argv, {"db", "out", "size", "count", "seed"})) {
+    return 2;
+  }
   const std::string db_path = FlagStr(argc, argv, "db", "pgsim_db.txt");
   const std::string out = FlagStr(argc, argv, "out", "pgsim_queries.txt");
   auto db = LoadDatabaseText(db_path);
@@ -186,6 +218,10 @@ uint32_t BuildThreadsFlag(int argc, char** argv) {
 }
 
 int CmdIndex(int argc, char** argv) {
+  if (RejectUnknownFlags(argc, argv, {"db", "out", "beta", "gamma", "maxL",
+                                      "build-threads"})) {
+    return 2;
+  }
   const std::string db_path = FlagStr(argc, argv, "db", "pgsim_db.txt");
   const std::string out = FlagStr(argc, argv, "out", "pgsim_index.pmi");
   auto db = LoadDatabaseText(db_path);
@@ -261,15 +297,19 @@ bool FileExists(const std::string& path) {
 }
 
 int CmdQuery(int argc, char** argv) {
+  if (RejectUnknownFlags(
+          argc, argv,
+          {"db", "index", "queries", "build-threads", "delta", "epsilon",
+           "signatures", "threads", "cache", "answer-cache", "repeat",
+           "mutate-every", "wal-dir", "snapshot-every"})) {
+    return 2;
+  }
   const std::string wal_dir = FlagStr(argc, argv, "wal-dir", "");
   auto setup = LoadSetup(argc, argv, /*need_index=*/wal_dir.empty());
   if (!setup.ok()) return Fail(setup.status());
   QueryOptions options;
   options.delta = FlagInt(argc, argv, "delta", 1);
   options.epsilon = FlagDouble(argc, argv, "epsilon", 0.5);
-  const int64_t verify_threads = FlagInt(argc, argv, "verify-threads", 1);
-  options.verify_threads =
-      verify_threads < 0 ? 1 : static_cast<uint32_t>(verify_threads);
   const std::string signatures = FlagStr(argc, argv, "signatures", "on");
   if (signatures == "on") {
     options.use_signatures = true;
@@ -283,22 +323,8 @@ int CmdQuery(int argc, char** argv) {
   BatchOptions batch;
   // Clamp: negative flag values would wrap through the uint32 fields.
   const int64_t threads = FlagInt(argc, argv, "threads", 1);
-  const int64_t chunk = FlagInt(argc, argv, "chunk", 4);
   batch.num_threads = threads < 0 ? 1 : static_cast<uint32_t>(threads);
-  batch.chunk_size = chunk < 1 ? 1 : static_cast<uint32_t>(chunk);
   batch.enable_cache = FlagInt(argc, argv, "cache", 1) != 0;
-  const std::string scheduler = FlagStr(argc, argv, "scheduler", "stealing");
-  if (scheduler == "chunked") {
-    batch.scheduler = BatchOptions::Scheduler::kChunked;
-  } else if (scheduler == "stealing") {
-    batch.scheduler = BatchOptions::Scheduler::kStealing;
-  } else {
-    std::fprintf(stderr, "unknown --scheduler=%s (chunked|stealing)\n",
-                 scheduler.c_str());
-    return 2;
-  }
-  const int64_t task_grain = FlagInt(argc, argv, "task-grain", 1);
-  batch.task_grain = task_grain < 1 ? 1 : static_cast<uint32_t>(task_grain);
 
   // Cross-batch answer cache + live-mutation churn knobs.
   const bool answer_cache_on = FlagPresent(argc, argv, "answer-cache");
@@ -429,6 +455,9 @@ int CmdQuery(int argc, char** argv) {
         "%zu VF2 calls avoided\n",
         options.use_signatures ? "on" : "off", batch_stats.sig_pairs_rejected,
         batch_stats.domain_candidates_pruned, batch_stats.vf2_calls_avoided);
+    std::printf(
+        "dropped candidates: %zu verification failures, %zu cancelled\n",
+        batch_stats.verification_failures, batch_stats.cancelled_candidates);
     if (answer_cache_on) {
       std::printf(
           "answer-cache: %zu hits, %zu misses (%zu stale), %zu evictions | "
@@ -456,6 +485,14 @@ int CmdQuery(int argc, char** argv) {
 // bounded priority admission queue and resolves to a ticket, with optional
 // deadlines, anytime degradation, and mutation interleaving.
 int CmdServe(int argc, char** argv) {
+  if (RejectUnknownFlags(
+          argc, argv,
+          {"db", "index", "queries", "build-threads", "delta", "epsilon",
+           "signatures", "threads", "max-queue", "answer-cache", "deadline-ms",
+           "priority", "allow-degraded", "cancel-after-draws", "repeat",
+           "mutate-every", "serve"})) {
+    return 2;
+  }
   auto setup = LoadSetup(argc, argv);
   if (!setup.ok()) return Fail(setup.status());
 
@@ -588,10 +625,18 @@ int CmdServe(int argc, char** argv) {
       static_cast<unsigned long long>(st.sig_pairs_rejected),
       static_cast<unsigned long long>(st.domain_candidates_pruned),
       static_cast<unsigned long long>(st.vf2_calls_avoided));
+  std::printf(
+      "dropped candidates: %llu verification failures, %llu cancelled\n",
+      static_cast<unsigned long long>(st.verification_failures),
+      static_cast<unsigned long long>(st.cancelled_candidates));
   return 0;
 }
 
 int CmdTopK(int argc, char** argv) {
+  if (RejectUnknownFlags(argc, argv, {"db", "index", "queries",
+                                      "build-threads", "delta", "k"})) {
+    return 2;
+  }
   auto setup = LoadSetup(argc, argv);
   if (!setup.ok()) return Fail(setup.status());
   TopKOptions options;
@@ -616,6 +661,7 @@ int CmdTopK(int argc, char** argv) {
 }
 
 int CmdStats(int argc, char** argv) {
+  if (RejectUnknownFlags(argc, argv, {"db"})) return 2;
   auto db = LoadDatabaseText(FlagStr(argc, argv, "db", "pgsim_db.txt"));
   if (!db.ok()) return Fail(db.status());
   const DatabaseStats stats = ComputeDatabaseStats(db->graphs);

@@ -160,20 +160,7 @@ struct alignas(64) TaskScheduler::PerWorker {
 
 TaskScheduler::TaskScheduler(uint32_t num_workers) {
   num_workers_ = num_workers == 0 ? ThreadPool::DefaultThreads() : num_workers;
-  if (num_workers_ > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(num_workers_);
-    pool_ = owned_pool_.get();
-  }
-  workers_.reserve(num_workers_);
-  for (uint32_t w = 0; w < num_workers_; ++w) {
-    workers_.push_back(std::make_unique<PerWorker>());
-  }
-  worker_state_.resize(num_workers_);
-}
-
-TaskScheduler::TaskScheduler(ThreadPool* pool) {
-  num_workers_ = pool == nullptr ? 1 : pool->size();
-  pool_ = num_workers_ > 1 ? pool : nullptr;
+  if (num_workers_ > 1) pool_ = std::make_unique<ThreadPool>(num_workers_);
   workers_.reserve(num_workers_);
   for (uint32_t w = 0; w < num_workers_; ++w) {
     workers_.push_back(std::make_unique<PerWorker>());

@@ -49,7 +49,7 @@ struct SchedulerRunStats {
   uint64_t max_queue_depth = 0; ///< deepest per-worker deque seen at a push
 };
 
-/// Work-stealing executor over a ThreadPool (owned or borrowed).
+/// Work-stealing executor over an owned ThreadPool.
 ///
 /// Run() executes a set of root tasks plus everything they transitively
 /// Spawn(), returning when the whole task graph has drained. One Run() at a
@@ -72,12 +72,6 @@ class TaskScheduler {
   /// Owns a ThreadPool of `num_workers` threads (0 = all hardware threads).
   /// A width of 1 runs every task inline on the thread calling Run().
   explicit TaskScheduler(uint32_t num_workers = 0);
-
-  /// Borrows `pool` (must outlive the scheduler); width = pool->size().
-  /// Run() assumes exclusive use of the pool for its duration (the same
-  /// contract QueryBatch already imposes on BatchOptions::pool). A null
-  /// pool behaves like width 1.
-  explicit TaskScheduler(ThreadPool* pool);
 
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
@@ -132,8 +126,7 @@ class TaskScheduler {
   void Park();
 
   uint32_t num_workers_ = 1;
-  ThreadPool* pool_ = nullptr;            ///< null => width-1 inline mode
-  std::unique_ptr<ThreadPool> owned_pool_;
+  std::unique_ptr<ThreadPool> pool_;  ///< null => width-1 inline mode
   std::vector<std::unique_ptr<PerWorker>> workers_;
   std::vector<StateSlot> worker_state_;
 

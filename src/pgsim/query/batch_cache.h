@@ -26,10 +26,9 @@
 // Entries are immutable once stored (shared_ptr<const ...>); the first
 // completion to publish wins and later equal stores are dropped, so
 // concurrent workers racing on the same class still read one consistent
-// value. The publish order is whatever the batch scheduler produces —
-// chunk order under the chunked parallel-for, arbitrary task-completion
-// order under the work-stealing scheduler — and is immaterial by the
-// determinism argument above: every store of a given key carries the same
+// value. The publish order is whatever task-completion order the
+// work-stealing scheduler produces, and is immaterial by the determinism
+// argument above: every store of a given key carries the same
 // bytes. The cache assumes one QueryOptions for all queries probing it —
 // true by construction for a QueryBatch call, which owns the cache's
 // lifetime.

@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 
+#include "pgsim/common/failpoint.h"
 #include "pgsim/common/fingerprint.h"
 #include "pgsim/common/task_scheduler.h"
 #include "pgsim/query/batch_cache.h"
@@ -231,10 +232,10 @@ void QueryProcessor::CompactLocked() {
 }
 
 // ---------------------------------------------------------------------------
-// Decomposed pipeline stages. Sequential Query(), the chunked batch path
-// (through Query()) and the stealing batch path all execute exactly these —
-// one code path for the order-sensitive work is what keeps answers
-// bit-identical across schedulers.
+// Decomposed pipeline stages. Inline Query() and the task graph (QueryBatch,
+// ServingCore) both execute exactly these — one code path for the
+// order-sensitive work is what keeps answers bit-identical across entry
+// points.
 // ---------------------------------------------------------------------------
 
 Status QueryProcessor::FrontStagesImpl(const Graph& q,
@@ -591,10 +592,9 @@ void QueryProcessor::FinishQuery(QueryJob* job) const {
 }
 
 // ---------------------------------------------------------------------------
-// Sequential entry points. The public overloads take the serving lock shared
-// (so mutations wait for them and vice versa); QueryImpl is the lock-free
-// body the batch schedulers call under the batch-held shared lock — a worker
-// re-acquiring the same shared_mutex would be UB.
+// Inline entry point. The public overloads take the serving lock shared (so
+// mutations wait for them and vice versa) and run the three steps on the
+// caller's context, candidates in order.
 // ---------------------------------------------------------------------------
 
 Result<std::vector<uint32_t>> QueryProcessor::Query(
@@ -607,255 +607,126 @@ Result<std::vector<uint32_t>> QueryProcessor::Query(
     const Graph& q, const QueryOptions& options, QueryContext* ctx,
     QueryStats* stats) const {
   std::shared_lock<std::shared_mutex> lock(live_mu_);
-  return QueryImpl(q, options, ctx, stats);
-}
-
-Result<std::vector<uint32_t>> QueryProcessor::QueryImpl(
-    const Graph& q, const QueryOptions& options, QueryContext* ctx,
-    QueryStats* stats) const {
   QueryJob& job = ctx->job;
   RunFrontStages(q, options, ctx, &job);
   if (!job.status.ok()) return job.status;
-
-  // ---- Stage 3: verification (Section 5). ----
-  // Candidates verify independently against pre-forked RNGs and per-rank
-  // scratch; verdicts merge in candidate order (FinishQuery). Answers are
-  // therefore byte-identical at every verify_threads setting.
-  const size_t n = job.to_verify.size();
-  const uint32_t verify_threads = options.verify_threads == 0
-                                      ? ThreadPool::DefaultThreads()
-                                      : options.verify_threads;
-  ThreadPool* verify_pool = n > 1 ? ctx->VerifyPool(verify_threads) : nullptr;
-  if (verify_pool == nullptr) {
-    for (size_t k = 0; k < n; ++k) {
-      VerifyCandidate(options, &job, k, &ctx->verifier_scratch);
-    }
-  } else {
-    ctx->verify_scratches.resize(verify_pool->size());
-    verify_pool->ParallelFor(n, /*chunk=*/1,
-                             [&](uint32_t rank, size_t begin, size_t end) {
-                               for (size_t k = begin; k < end; ++k) {
-                                 VerifyCandidate(options, &job, k,
-                                                 &ctx->verify_scratches[rank]);
-                               }
-                             });
+  for (size_t k = 0; k < job.to_verify.size(); ++k) {
+    VerifyCandidate(options, &job, k, &ctx->verifier_scratch);
   }
-
   FinishQuery(&job);
   if (stats != nullptr) *stats = job.stats;
   return job.answers;
 }
 
 // ---------------------------------------------------------------------------
-// Stealing batch runner: one query -> a front-stages root task + ceil(n /
-// task_grain) verification tasks. The root runs stages 0-2 on whichever
-// worker claims it, then spawns the verification range tasks onto that
-// worker's own deque (newest-first, so the spawning worker proceeds with
-// warm caches while idle workers steal from the other end). The last
-// verification task to finish — whoever executes it — merges verdicts and
-// publishes the result slot.
+// The task graph: one query -> a front task + one verify task per candidate.
+// The front task runs stages 0-2 on whichever worker claims it, then spawns
+// the verify tasks onto that worker's own deque (newest-first, so the
+// spawning worker proceeds with warm caches while idle workers steal from
+// the other end). The last verify task to finish — whoever executes it —
+// merges the verdicts and hands the job to the caller's Complete().
+// Everything runs under the caller's shared serving lock, so no task may
+// take it again.
 // ---------------------------------------------------------------------------
 
-struct StealingBatchRunner {
-  struct Job {
-    QueryJob job;
-    std::atomic<uint32_t> remaining{0};  ///< outstanding verification tasks
-    StealingBatchRunner* run = nullptr;
-    uint32_t qi = 0;
-  };
+void QueryProcessor::SpawnQuery(QueryTaskGraph* g, uint32_t worker) {
+  TaskScheduler::Task task;
+  task.fn = &FrontTask;
+  task.ctx = g;
+  g->run->sched->Spawn(worker, task);
+}
 
-  explicit StealingBatchRunner(size_t num_queries) : jobs(num_queries) {}
-
-  static void QueryTask(void* ctx, uint32_t worker, uint32_t /*a*/,
-                        uint32_t /*b*/) {
-    Job* j = static_cast<Job*>(ctx);
-    StealingBatchRunner* run = j->run;
-    QueryContext* qctx = run->sched->WorkerState<QueryContext>(worker);
-    qctx->cache = run->cache;
-    qctx->answer_cache = run->answer_cache;
-    qctx->answer_fingerprint = run->answer_fp;
-    qctx->answer_epoch = run->answer_epoch;
-    const double queue_wait = run->batch_timer->Seconds();
-    run->front_inflight.fetch_add(1, std::memory_order_relaxed);
-    run->proc->RunFrontStages((*run->queries)[j->qi], *run->options, qctx,
-                              &j->job);
-    run->front_inflight.fetch_sub(1, std::memory_order_relaxed);
-    j->job.stats.queue_wait_seconds = queue_wait;
-
-    const size_t n = j->job.to_verify.size();
-    if (!j->job.status.ok() || n == 0) {
-      run->Finish(j);
+void QueryProcessor::FrontTask(void* arg, uint32_t worker, uint32_t /*a*/,
+                               uint32_t /*b*/) {
+  auto* g = static_cast<QueryTaskGraph*>(arg);
+  QueryTaskRun* run = g->run;
+  if (run->front_failpoint != nullptr) {
+    const Status injected = FailpointCheck(run->front_failpoint);
+    if (!injected.ok()) {
+      g->job.Clear();
+      g->job.status = injected;
+      FinishTask(g);
       return;
     }
-    const size_t grain = run->task_grain == 0 ? 1 : run->task_grain;
-    const size_t num_tasks = (n + grain - 1) / grain;
-    j->remaining.store(static_cast<uint32_t>(num_tasks),
-                       std::memory_order_relaxed);
-    // Reverse spawn order: the owner pops its deque LIFO, so candidate 0's
-    // range runs next on this worker while thieves steal from the tail.
-    for (size_t t = num_tasks; t-- > 0;) {
-      TaskScheduler::Task task;
-      task.fn = &VerifyTask;
-      task.ctx = j;
-      task.a = static_cast<uint32_t>(t * grain);
-      task.b = static_cast<uint32_t>(std::min(n, (t + 1) * grain));
-      run->sched->Spawn(worker, task);
-    }
   }
+  QueryContext* ctx = run->sched->WorkerState<QueryContext>(worker);
+  ctx->cache = run->cache;
+  ctx->answer_cache = run->answer_cache;
+  ctx->answer_fingerprint = run->answer_fingerprint;
+  ctx->answer_epoch = run->answer_epoch;
+  ctx->cancel = g->cancel;
+  ctx->cancel_after_draws = g->cancel_after_draws;
+  const double queue_wait =
+      run->admitted != nullptr ? run->admitted->Seconds() : 0.0;
+  run->front_inflight.fetch_add(1, std::memory_order_relaxed);
+  run->proc->RunFrontStages(*g->query, *run->options, ctx, &g->job);
+  run->front_inflight.fetch_sub(1, std::memory_order_relaxed);
+  // The job captured the cancellation wiring; clear the worker's context so
+  // a later query on this worker cannot inherit another query's token.
+  ctx->cancel = nullptr;
+  ctx->cancel_after_draws = 0;
+  g->job.stats.queue_wait_seconds = queue_wait;
 
-  static void VerifyTask(void* ctx, uint32_t worker, uint32_t a, uint32_t b) {
-    Job* j = static_cast<Job*>(ctx);
-    StealingBatchRunner* run = j->run;
-    if (run->front_inflight.load(std::memory_order_relaxed) > 0) {
-      // Stage-level pipelining observed: some other query is still in its
-      // front stages while this verification unit runs.
-      run->overlapped_verify.fetch_add(1, std::memory_order_relaxed);
-    }
-    QueryContext* qctx = run->sched->WorkerState<QueryContext>(worker);
-    for (uint32_t k = a; k < b; ++k) {
-      run->proc->VerifyCandidate(*run->options, &j->job, k,
-                                 &qctx->verifier_scratch);
-    }
-    // acq_rel: the last finisher must observe every other task's verdict
-    // writes before merging.
-    if (j->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      run->Finish(j);
-    }
+  const size_t n = g->job.to_verify.size();
+  if (!g->job.status.ok() || n == 0) {
+    FinishTask(g);
+    return;
   }
-
-  void Finish(Job* j) {
-    proc->FinishQuery(&j->job);
-    BatchQueryResult& slot = (*results)[j->qi];
-    if (j->job.status.ok()) {
-      slot.stats = j->job.stats;
-      slot.answers = std::move(j->job.answers);
-    } else {
-      slot.status = j->job.status;
-    }
+  g->remaining.store(static_cast<uint32_t>(n), std::memory_order_relaxed);
+  // Reverse spawn order: the owner pops its deque LIFO, so candidate 0 runs
+  // next on this worker while thieves steal from the tail.
+  for (size_t k = n; k-- > 0;) {
+    TaskScheduler::Task task;
+    task.fn = &VerifyTask;
+    task.ctx = g;
+    task.a = static_cast<uint32_t>(k);
+    run->sched->Spawn(worker, task);
   }
+}
 
-  const QueryProcessor* proc = nullptr;
-  const std::vector<Graph>* queries = nullptr;
-  const QueryOptions* options = nullptr;
+void QueryProcessor::VerifyTask(void* arg, uint32_t worker, uint32_t a,
+                                uint32_t /*b*/) {
+  auto* g = static_cast<QueryTaskGraph*>(arg);
+  QueryTaskRun* run = g->run;
+  if (run->front_inflight.load(std::memory_order_relaxed) > 0) {
+    // Stage-level pipelining observed: some other query is still in its
+    // front stages while this candidate verifies.
+    run->overlapped_verify.fetch_add(1, std::memory_order_relaxed);
+  }
+  QueryContext* ctx = run->sched->WorkerState<QueryContext>(worker);
+  run->proc->VerifyCandidate(*run->options, &g->job, a,
+                             &ctx->verifier_scratch);
+  // acq_rel: the last finisher must observe every other task's verdict and
+  // interval writes before merging.
+  if (g->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    FinishTask(g);
+  }
+}
+
+void QueryProcessor::FinishTask(QueryTaskGraph* g) {
+  g->run->proc->FinishQuery(&g->job);
+  g->Complete();
+}
+
+namespace {
+
+// QueryBatch's completion: publish the finished job into its result slot.
+struct BatchQuery final : QueryTaskGraph {
   std::vector<BatchQueryResult>* results = nullptr;
-  BatchQueryCache* cache = nullptr;
-  AnswerCache* answer_cache = nullptr;
-  const std::string* answer_fp = nullptr;
-  uint64_t answer_epoch = 0;
-  TaskScheduler* sched = nullptr;
-  size_t task_grain = 1;
-  const WallTimer* batch_timer = nullptr;
-  std::vector<Job> jobs;
-  std::atomic<uint32_t> front_inflight{0};
-  std::atomic<uint64_t> overlapped_verify{0};
+  size_t qi = 0;
+
+  void Complete() override {
+    BatchQueryResult& slot = (*results)[qi];
+    if (job.status.ok()) {
+      slot.stats = job.stats;
+      slot.answers = std::move(job.answers);
+    } else {
+      slot.status = job.status;
+    }
+  }
 };
 
-std::vector<BatchQueryResult> QueryProcessor::QueryBatchStealing(
-    const std::vector<Graph>& queries, const QueryOptions& options,
-    const BatchOptions& batch, BatchQueryCache* cache,
-    const AnswerCacheWiring& answers, uint32_t num_threads,
-    const WallTimer& batch_timer, uint32_t* threads_used,
-    BatchStats* batch_stats) const {
-  std::unique_ptr<TaskScheduler> owned;
-  TaskScheduler* sched = batch.stealer;
-  if (sched == nullptr) {
-    owned = batch.pool != nullptr
-                ? std::make_unique<TaskScheduler>(batch.pool)
-                : std::make_unique<TaskScheduler>(num_threads);
-    sched = owned.get();
-  }
-  *threads_used = sched->num_workers();
-
-  std::vector<BatchQueryResult> results(queries.size());
-  StealingBatchRunner run(queries.size());
-  run.proc = this;
-  run.queries = &queries;
-  run.options = &options;
-  run.results = &results;
-  run.cache = cache;
-  run.answer_cache = answers.cache;
-  run.answer_fp = answers.fingerprint;
-  run.answer_epoch = answers.epoch;
-  run.sched = sched;
-  run.task_grain = batch.task_grain;
-  run.batch_timer = &batch_timer;
-
-  std::vector<TaskScheduler::Task> roots(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    run.jobs[qi].run = &run;
-    run.jobs[qi].qi = static_cast<uint32_t>(qi);
-    roots[qi].fn = &StealingBatchRunner::QueryTask;
-    roots[qi].ctx = &run.jobs[qi];
-  }
-  const SchedulerRunStats sched_stats = sched->Run(roots, /*root_chunk=*/1);
-
-  if (batch_stats != nullptr) {
-    batch_stats->tasks_executed = sched_stats.tasks_executed;
-    batch_stats->tasks_stolen = sched_stats.tasks_stolen;
-    batch_stats->steal_attempts = sched_stats.steal_attempts;
-    batch_stats->max_queue_depth = sched_stats.max_queue_depth;
-    batch_stats->overlapped_verify_tasks =
-        run.overlapped_verify.load(std::memory_order_relaxed);
-  }
-  return results;
-}
-
-// ---------------------------------------------------------------------------
-// Chunked batch runner (the original parallel-for path).
-// ---------------------------------------------------------------------------
-
-std::vector<BatchQueryResult> QueryProcessor::QueryBatchChunked(
-    const std::vector<Graph>& queries, const QueryOptions& options,
-    const BatchOptions& batch, BatchQueryCache* cache,
-    const AnswerCacheWiring& answers, uint32_t num_threads,
-    uint32_t* threads_used) const {
-  std::vector<BatchQueryResult> results(queries.size());
-
-  const auto wire = [&](QueryContext* ctx) {
-    ctx->cache = cache;
-    ctx->answer_cache = answers.cache;
-    ctx->answer_fingerprint = answers.fingerprint;
-    ctx->answer_epoch = answers.epoch;
-  };
-
-  // Each slot is written by exactly one worker; each worker reruns the
-  // pipeline from options.seed, so answers match sequential Query exactly.
-  // QueryImpl, not Query: the batch already holds the serving lock.
-  auto run_one = [&](QueryContext* ctx, size_t qi) {
-    BatchQueryResult& slot = results[qi];
-    auto query_answers = QueryImpl(queries[qi], options, ctx, &slot.stats);
-    if (query_answers.ok()) {
-      slot.answers = std::move(query_answers).value();
-    } else {
-      slot.status = query_answers.status();
-    }
-  };
-
-  *threads_used = num_threads;
-  if (batch.pool == nullptr && (num_threads <= 1 || queries.size() <= 1)) {
-    *threads_used = 1;
-    QueryContext ctx;
-    wire(&ctx);
-    for (size_t qi = 0; qi < queries.size(); ++qi) run_one(&ctx, qi);
-  } else {
-    // Use the caller's pool when provided; otherwise spawn a transient one.
-    std::unique_ptr<ThreadPool> owned;
-    ThreadPool* pool = batch.pool;
-    if (pool == nullptr) {
-      owned = std::make_unique<ThreadPool>(num_threads);
-      pool = owned.get();
-    }
-    std::vector<QueryContext> contexts(pool->size());
-    for (QueryContext& ctx : contexts) wire(&ctx);
-    pool->ParallelFor(queries.size(), batch.chunk_size,
-                      [&](uint32_t rank, size_t begin, size_t end) {
-                        for (size_t qi = begin; qi < end; ++qi) {
-                          run_one(&contexts[rank], qi);
-                        }
-                      });
-  }
-  return results;
-}
+}  // namespace
 
 std::vector<BatchQueryResult> QueryProcessor::QueryBatch(
     const std::vector<Graph>& queries, const QueryOptions& options,
@@ -865,55 +736,59 @@ std::vector<BatchQueryResult> QueryProcessor::QueryBatch(
   // frozen index state (and the same epoch), and a mutation either waits for
   // the batch or the batch sees it completely.
   std::shared_lock<std::shared_mutex> serving_lock(live_mu_);
-  const uint32_t num_threads =
-      ThreadPool::ResolveThreads(batch.num_threads, batch.pool);
+  std::unique_ptr<TaskScheduler> owned;
+  TaskScheduler* sched = batch.stealer;
+  if (sched == nullptr) {
+    owned = std::make_unique<TaskScheduler>(batch.num_threads);
+    sched = owned.get();
+  }
 
   // One artifact cache for the whole batch (see batch_cache.h): workers
   // share relaxation sets and feature counts; answers stay bit-identical.
   std::unique_ptr<BatchQueryCache> cache;
   if (batch.enable_cache) cache = std::make_unique<BatchQueryCache>();
 
+  QueryTaskRun run;
+  run.proc = this;
+  run.options = &options;
+  run.sched = sched;
+  run.cache = cache.get();
+  run.admitted = &wall_timer;
   // Cross-batch answer cache wiring: fingerprint once per batch, epoch read
   // under the serving lock above (it cannot move until the batch finishes).
-  AnswerCacheWiring answers;
   std::string answer_fingerprint;
   AnswerCacheStats answer_before;
   if (batch.answer_cache != nullptr) {
     answer_fingerprint = QueryOptionsFingerprint(options);
-    answers.cache = batch.answer_cache;
-    answers.fingerprint = &answer_fingerprint;
-    answers.epoch = epoch();
+    run.answer_cache = batch.answer_cache;
+    run.answer_fingerprint = &answer_fingerprint;
+    run.answer_epoch = epoch();
     answer_before = batch.answer_cache->stats();
   }
 
-  // The stealing scheduler needs either an execution vehicle worth sharing
-  // (a caller scheduler/pool) or genuine batch parallelism; a 1-thread,
-  // no-pool batch runs the plain inline chunked path — answers are
-  // bit-identical either way, so this is purely an overhead call.
-  const bool use_stealing =
-      batch.scheduler == BatchOptions::Scheduler::kStealing &&
-      (batch.stealer != nullptr || batch.pool != nullptr ||
-       (num_threads > 1 && queries.size() > 1));
-
-  uint32_t threads_used = num_threads;
-  BatchStats sched_counters;
-  std::vector<BatchQueryResult> results =
-      use_stealing
-          ? QueryBatchStealing(queries, options, batch, cache.get(), answers,
-                               num_threads, wall_timer, &threads_used,
-                               &sched_counters)
-          : QueryBatchChunked(queries, options, batch, cache.get(), answers,
-                              num_threads, &threads_used);
+  std::vector<BatchQueryResult> results(queries.size());
+  std::vector<BatchQuery> graphs(queries.size());
+  std::vector<TaskScheduler::Task> roots(queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    graphs[qi].run = &run;
+    graphs[qi].query = &queries[qi];
+    graphs[qi].results = &results;
+    graphs[qi].qi = qi;
+    roots[qi].fn = &FrontTask;
+    roots[qi].ctx = &graphs[qi];
+  }
+  const SchedulerRunStats sched_stats = sched->Run(roots, /*root_chunk=*/1);
 
   if (batch_stats != nullptr) {
     BatchStats agg;
     agg.num_queries = queries.size();
-    agg.threads_used = threads_used;
-    agg.tasks_executed = sched_counters.tasks_executed;
-    agg.tasks_stolen = sched_counters.tasks_stolen;
-    agg.steal_attempts = sched_counters.steal_attempts;
-    agg.max_queue_depth = sched_counters.max_queue_depth;
-    agg.overlapped_verify_tasks = sched_counters.overlapped_verify_tasks;
+    agg.threads_used = sched->num_workers();
+    agg.tasks_executed = sched_stats.tasks_executed;
+    agg.tasks_stolen = sched_stats.tasks_stolen;
+    agg.steal_attempts = sched_stats.steal_attempts;
+    agg.max_queue_depth = sched_stats.max_queue_depth;
+    agg.overlapped_verify_tasks =
+        run.overlapped_verify.load(std::memory_order_relaxed);
     for (const BatchQueryResult& r : results) {
       if (!r.status.ok()) {
         ++agg.failed_queries;
@@ -924,6 +799,8 @@ std::vector<BatchQueryResult> QueryProcessor::QueryBatch(
       agg.pruned_by_upper += r.stats.pruned_by_upper;
       agg.accepted_by_lower += r.stats.accepted_by_lower;
       agg.verification_candidates += r.stats.verification_candidates;
+      agg.verification_failures += r.stats.verification_failures;
+      agg.cancelled_candidates += r.stats.cancelled_candidates;
       agg.sig_pairs_rejected += r.stats.sig_pairs_rejected;
       agg.domain_candidates_pruned += r.stats.domain_candidates_pruned;
       agg.vf2_calls_avoided += r.stats.vf2_calls_avoided;

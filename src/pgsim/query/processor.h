@@ -3,24 +3,24 @@
 //
 // QueryProcessor owns nothing: it composes a database, an optional PMI and
 // an optional structural filter into the three-stage pipeline and reports
-// per-stage statistics (the quantities plotted in Figures 9–13). Queries can
-// run one at a time (Query, optionally with a caller-owned QueryContext for
-// allocation reuse) or as a batch (QueryBatch) under one of two schedulers:
+// per-stage statistics (the quantities plotted in Figures 9–13).
 //
-//   - Scheduler::kChunked: the original chunked parallel-for — workers
-//     claim `chunk_size` whole queries at a time from an atomic cursor.
-//     Cheap and predictable, but one pathological query stalls its chunk.
-//   - Scheduler::kStealing (default): each query decomposes into a
-//     front-stages task (relaxation -> filter -> pruning) plus per-candidate
-//     verification tasks on a work-stealing TaskScheduler, so stages 1–2 of
-//     query B run while query A verifies, and a hot query's candidates are
-//     stolen by idle workers.
+// One execution path runs the pipeline. A query is three steps:
+//   1. RunFrontStages — cache probe -> relaxation -> match plans ->
+//      structural filter -> probabilistic pruning, ending with one RNG
+//      pre-forked per surviving candidate, in candidate order;
+//   2. VerifyCandidate, once per candidate;
+//   3. FinishQuery, which merges the verdicts in candidate order.
+// Query() runs the three inline on the caller's QueryContext. QueryBatch and
+// ServingCore run them as a per-query task graph (QueryTaskGraph) on a
+// work-stealing TaskScheduler: a front task, one verify task per candidate,
+// and a merge by whichever verify task finishes last. Each caller supplies
+// only its wiring (QueryTaskRun) and its completion.
 //
-// Answers are bit-identical across both schedulers, any worker count, and
-// any task grain: each query reruns its pipeline from QueryOptions::seed,
-// stage-3 candidates draw from sequentially pre-forked per-candidate RNGs,
-// and verdicts are merged in candidate order (golden_pipeline_test pins
-// this).
+// Answers are bit-identical across entry points, scheduler widths and steal
+// schedules: each query reruns its pipeline from QueryOptions::seed,
+// candidates draw from their pre-forked RNGs, and verdicts merge in
+// candidate order (golden_pipeline_test pins this).
 
 #pragma once
 
@@ -34,7 +34,6 @@
 #include "pgsim/common/cancel.h"
 #include "pgsim/common/random.h"
 #include "pgsim/common/status.h"
-#include "pgsim/common/thread_pool.h"
 #include "pgsim/common/timer.h"
 #include "pgsim/graph/graph.h"
 #include "pgsim/graph/relaxation.h"
@@ -50,6 +49,7 @@ namespace pgsim {
 class BatchQueryCache;
 class DurableDatabase;
 class TaskScheduler;
+class QueryProcessor;
 struct QueryContext;
 
 /// One T-PS query's parameters and pipeline switches.
@@ -65,22 +65,12 @@ struct QueryOptions {
   /// Verification engine for surviving candidates.
   enum class VerifyMode { kSample, kExact };
   VerifyMode verify_mode = VerifyMode::kSample;
-  /// Intra-query verification parallelism for the single-query Query()
-  /// entry point and the chunked batch scheduler: stage 3 fans the
-  /// surviving candidates across this many threads (1 = inline on the
-  /// calling thread, 0 = all hardware threads). Every candidate draws from
-  /// its own RNG, pre-forked sequentially in candidate order, and verdicts
-  /// are merged in candidate order — answers are byte-identical at every
-  /// setting. The stealing batch scheduler subsumes this knob (candidates
-  /// become scheduler tasks that any idle worker steals) and ignores it.
-  uint32_t verify_threads = 1;
   /// Neighborhood-signature gating ahead of stage 3 (and the structural
   /// filter's exact check): barren (rq, candidate) pairs are rejected before
   /// their VF2 call and survivors enumerate against signature-built
   /// candidate domains. Prunes provably fruitless work only — answers are
-  /// bit-identical on or off, so (like verify_threads) the knob is excluded
-  /// from the options fingerprint. Ignored when the processor has no
-  /// signature index.
+  /// bit-identical on or off, so the knob is excluded from the options
+  /// fingerprint. Ignored when the processor has no signature index.
   bool use_signatures = true;
   uint64_t seed = 7;       ///< randomized pruning/verification seed
 };
@@ -88,9 +78,10 @@ struct QueryOptions {
 /// Equality-exact byte fingerprint of every QueryOptions field that can
 /// change a query's ANSWER SET (delta, epsilon, relaxation caps, pruner
 /// config, verifier config, structural knobs, stage switches, verify mode,
-/// seed). Execution-only knobs (verify_threads, thread/pool settings) are
-/// excluded — answers are bit-identical across them by the determinism
-/// doctrine, so they must not fragment the answer-cache key space.
+/// seed). The execution-only knob use_signatures is excluded — answers are
+/// bit-identical across it by the determinism doctrine, so it must not
+/// fragment the answer-cache key space. (Scheduler widths are not
+/// QueryOptions at all.)
 std::string QueryOptionsFingerprint(const QueryOptions& options);
 
 /// Per-stage counters and timings of one query run.
@@ -104,10 +95,11 @@ std::string QueryOptionsFingerprint(const QueryOptions& options);
 /// (see StructuralFilterStats), so the value shrank when the guard landed
 /// while every survivor set stayed identical.
 /// `*_seconds` fields are wall-clock measurements and vary run to run.
-/// Under the stealing scheduler `verify_seconds` spans front-stages-end to
-/// last-verdict wall clock (candidate tasks may queue behind other queries'
-/// work), and `queue_wait_seconds` reports how long the query waited from
-/// batch admission to the start of its front stages.
+/// On a scheduler (QueryBatch, ServingCore) `verify_seconds` spans
+/// front-stages-end to last-verdict wall clock (candidate tasks may queue
+/// behind other queries' work), and under QueryBatch `queue_wait_seconds`
+/// reports how long the query waited from batch admission to the start of
+/// its front stages.
 /// Offline index-build timings live with the index itself: PmiStats
 /// (mining/bounds/total seconds, build_threads) and
 /// StructuralFilterBuildStats (seconds, counted_pairs, build_threads).
@@ -135,7 +127,7 @@ struct QueryStats {
   double verify_seconds = 0.0;     ///< stage 3 wall clock
   double cache_seconds = 0.0;      ///< canonicalization + cache probe time
   double queue_wait_seconds = 0.0; ///< admission -> front-stages start
-                                   ///< (stealing batch scheduler only)
+                                   ///< (QueryBatch only)
   double total_seconds = 0.0;      ///< whole pipeline wall clock
   /// Signature-gate work avoidance (0 with signatures off or no index).
   /// Deterministic like the counter fields above; spans the structural
@@ -150,8 +142,8 @@ struct QueryStats {
 /// path schedules. One query becomes a front-stages task (relaxation ->
 /// match plans -> structural filter -> probabilistic pruning, which also
 /// pre-forks the per-candidate verification RNGs in candidate order) plus
-/// ceil(|to_verify| / task_grain) verification tasks that any worker may
-/// execute; the last one to finish merges verdicts in candidate order.
+/// one verification task per candidate that any worker may execute; the
+/// last one to finish merges verdicts in candidate order.
 /// Everything order-sensitive therefore lives here — the job must outlive
 /// the worker that started it — while reusable *scratch* (filter/pruner/
 /// verifier temporaries) stays in the executing worker's QueryContext.
@@ -214,7 +206,7 @@ struct QueryJob {
   WallTimer verify_timer;
 
   /// Cross-batch answer cache wiring, captured at probe time so FinishQuery
-  /// (which may run on a different worker under the stealing scheduler) can
+  /// (which may run on a different worker than the front stages) can
   /// fill the slot the probe addressed, under the epoch the answer was
   /// computed at.
   AnswerCache* answer_cache = nullptr;
@@ -259,11 +251,10 @@ struct QueryJob {
 /// fills per query (filter/pruner/verifier scratch, RNG, and an embedded
 /// QueryJob for the sequential path). QueryProcessor::Query clears them
 /// between runs instead of reallocating, so a steady-state query loop
-/// performs near-zero heap allocation in the processor itself. The chunked
-/// batch path keeps one context per worker rank; the stealing path keeps
-/// one per scheduler worker (owned by the TaskScheduler, so a thread
-/// reuses its scratch across stolen tasks and across batches). A context
-/// must not be shared by two queries running concurrently.
+/// performs near-zero heap allocation in the processor itself. The task
+/// graph keeps one context per scheduler worker (owned by the TaskScheduler,
+/// so a thread reuses its scratch across stolen tasks and across batches).
+/// A context must not be shared by two queries running concurrently.
 struct QueryContext {
   Rng rng;
   /// Optional batch-scoped artifact cache (not owned). QueryBatch points
@@ -281,71 +272,87 @@ struct QueryContext {
   const std::string* answer_fingerprint = nullptr;
   uint64_t answer_epoch = 0;
   /// Cooperative cancellation wiring (not owned), copied into the job by
-  /// RunFrontStages. The serving core points these at the submitting
-  /// ticket's token before running a query's front stages; batch/sequential
-  /// callers leave them null/0 (never cancelled — bit-identical answers).
+  /// RunFrontStages. The task graph's front task points these at its
+  /// query's wiring (ServingCore sets one token per ticket); batch and
+  /// sequential callers leave them null/0 (never cancelled — bit-identical
+  /// answers).
   const CancelState* cancel = nullptr;
   uint64_t cancel_after_draws = 0;
-  /// Per-query pipeline state for the sequential Query() path (batch
-  /// schedulers use per-query jobs that outlive the worker instead).
+  /// Per-query pipeline state for the inline Query() path (the task graph
+  /// uses per-query jobs that outlive the worker instead).
   QueryJob job;
   /// Stage 1 temporaries.
   StructuralFilterScratch filter_scratch;
   /// Stage 2 temporaries: the pruner's columnar evaluate path draws every
   /// per-candidate buffer from here (zero steady-state allocation).
   PrunerScratch pruner_scratch;
-  /// Stage 3 scratch: the sequential verification path and every stolen
-  /// verification task executed by this context's worker use this.
+  /// Stage 3 scratch: Query()'s inline verification and every verification
+  /// task executed by this context's worker use this.
   VerifierScratch verifier_scratch;
-  /// Per-rank scratches for intra-query parallel verification
-  /// (QueryOptions::verify_threads > 1 on the Query()/chunked path).
-  std::vector<VerifierScratch> verify_scratches;
-
-  /// The lazily built pool for intra-query parallel verification. Returns
-  /// null when `threads` <= 1 (run inline); otherwise a pool of exactly
-  /// `threads` workers, kept across queries and rebuilt only when the
-  /// requested width changes.
-  ThreadPool* VerifyPool(uint32_t threads) {
-    if (threads <= 1) return nullptr;
-    if (verify_pool_ == nullptr || verify_pool_->size() != threads) {
-      verify_pool_ = std::make_unique<ThreadPool>(threads);
-    }
-    return verify_pool_.get();
-  }
 
   /// Reseeds the RNG (per-query state is cleared by the pipeline itself).
   void Reset(uint64_t seed) { rng = Rng(seed); }
+};
 
- private:
-  std::unique_ptr<ThreadPool> verify_pool_;
+/// What every query of one task-graph run shares: one QueryBatch call, or
+/// one ServingCore for its lifetime (which re-freezes `answer_epoch` per
+/// wave). The front task copies the wiring into the executing worker's
+/// QueryContext before running the front stages.
+struct QueryTaskRun {
+  const QueryProcessor* proc = nullptr;
+  const QueryOptions* options = nullptr;
+  TaskScheduler* sched = nullptr;
+  BatchQueryCache* cache = nullptr;  ///< batch-scoped artifact cache
+  /// Cross-batch answer cache wiring (see QueryContext).
+  AnswerCache* answer_cache = nullptr;
+  const std::string* answer_fingerprint = nullptr;
+  uint64_t answer_epoch = 0;
+  /// Failpoint checked before each query's front stages (null = none); a
+  /// fired failpoint fails that query with the injected status.
+  const char* front_failpoint = nullptr;
+  /// Admission clock: a query's queue_wait_seconds is its reading when the
+  /// front task starts (null = not measured).
+  const WallTimer* admitted = nullptr;
+  /// Front tasks in flight, and verify tasks that ran while one was — the
+  /// stage-level pipelining BatchStats::overlapped_verify_tasks reports.
+  std::atomic<uint32_t> front_inflight{0};
+  std::atomic<uint64_t> overlapped_verify{0};
+};
+
+/// One query's task graph: a front task (RunFrontStages), one verify task
+/// per candidate (VerifyCandidate), and a merge (FinishQuery) by whichever
+/// verify task finishes last. The caller fills `run`, `query` and the
+/// per-query cancellation wiring, keeps the object alive until Complete()
+/// runs, and receives the finished `job` there.
+struct QueryTaskGraph {
+  QueryTaskGraph() = default;
+  QueryTaskGraph(const QueryTaskGraph&) = delete;
+  QueryTaskGraph& operator=(const QueryTaskGraph&) = delete;
+  virtual ~QueryTaskGraph() = default;
+  /// Runs exactly once, on the worker that finished the query, after
+  /// FinishQuery merged `job`. Nothing touches the graph afterwards, so
+  /// an override may delete it.
+  virtual void Complete() = 0;
+
+  QueryTaskRun* run = nullptr;
+  const Graph* query = nullptr;
+  /// Cooperative cancellation (see QueryContext); serving wires these.
+  const CancelState* cancel = nullptr;
+  uint64_t cancel_after_draws = 0;
+  QueryJob job;
+  std::atomic<uint32_t> remaining{0};  ///< verify tasks not yet finished
 };
 
 /// Batch execution knobs.
 struct BatchOptions {
-  /// How QueryBatch distributes work across workers (see the file comment).
-  /// Answers are bit-identical under either scheduler.
-  enum class Scheduler { kChunked, kStealing };
-  Scheduler scheduler = Scheduler::kStealing;
-  /// Worker threads; 0 means ThreadPool::DefaultThreads(). 1 runs the batch
-  /// inline on the calling thread (no pool). Ignored when `pool` or
-  /// `stealer` is set.
+  /// Width of the TaskScheduler QueryBatch builds for the call; 0 means
+  /// ThreadPool::DefaultThreads(), 1 runs the batch inline on the calling
+  /// thread. Ignored when `stealer` is set.
   uint32_t num_threads = 0;
-  /// Chunked scheduler: queries claimed per atomic grab; balances atomic
-  /// traffic against skewed per-query cost. (The stealing scheduler always
-  /// admits queries one at a time — balancing skew is its job.)
-  uint32_t chunk_size = 4;
-  /// Stealing scheduler: stage-3 verification candidates per spawned task.
-  /// 1 (default) exposes maximum steal parallelism; raise it if per-task
-  /// overhead ever shows up on very cheap candidates. 0 behaves as 1.
-  uint32_t task_grain = 1;
-  /// Caller-owned pool to run on (not owned; must outlive the call). Server
-  /// loops issuing many batches set this to avoid per-batch thread spawns;
-  /// when null, QueryBatch builds a transient pool of `num_threads`.
-  ThreadPool* pool = nullptr;
   /// Caller-owned work-stealing scheduler (not owned; must outlive the
-  /// call). Wins over `pool`/`num_threads` when set and `scheduler` is
-  /// kStealing. Reusing one scheduler across batches also reuses its
-  /// per-worker QueryContext scratch (no per-batch warm-up allocation).
+  /// call). Server loops issuing many batches set this: reusing one
+  /// scheduler reuses its threads and its per-worker QueryContext scratch
+  /// (no per-batch thread spawn or warm-up allocation).
   TaskScheduler* stealer = nullptr;
   /// Share relaxation sets and per-query feature embedding counts across
   /// the batch through a BatchQueryCache keyed by canonical query form.
@@ -370,11 +377,10 @@ struct BatchOptions {
 /// parallel batches may report fewer hits than sequential ones. Answers are
 /// unaffected either way (a miss just recomputes the identical artifact).
 /// Scheduler counters (`tasks_*`, `steal_attempts`, `max_queue_depth`,
-/// `overlapped_verify_tasks`, `sum_queue_wait_seconds`) are nonzero only
-/// under the stealing scheduler and vary run to run with the steal
-/// schedule; `overlapped_verify_tasks` counts verification tasks that ran
-/// while some other query's front stages were in flight — direct evidence
-/// of stage-level pipelining.
+/// `overlapped_verify_tasks`, `sum_queue_wait_seconds`) vary run to run
+/// with the steal schedule; `overlapped_verify_tasks` counts verification
+/// tasks that ran while some other query's front stages were in flight —
+/// direct evidence of stage-level pipelining.
 struct BatchStats {
   size_t num_queries = 0;
   size_t failed_queries = 0;          ///< queries whose pipeline errored
@@ -383,6 +389,10 @@ struct BatchStats {
   size_t pruned_by_upper = 0;
   size_t accepted_by_lower = 0;
   size_t verification_candidates = 0;
+  size_t verification_failures = 0;   ///< candidates the verifier dropped
+                                      ///< (e.g. over an embedding cap)
+  size_t cancelled_candidates = 0;    ///< candidates stopped at a
+                                      ///< cancellation point
   size_t relax_cache_hits = 0;        ///< relaxation sets reused (duplicates)
   size_t relax_cache_misses = 0;
   size_t counts_cache_hits = 0;       ///< feature counts reused (iso classes)
@@ -406,8 +416,7 @@ struct BatchStats {
   size_t answer_cache_misses = 0;
   size_t answer_cache_stale = 0;
   size_t answer_cache_evictions = 0;
-  uint32_t threads_used = 0;          ///< threads that actually ran (1 when
-                                      ///< the inline fallback was taken)
+  uint32_t threads_used = 0;          ///< scheduler width the batch ran on
   size_t tasks_executed = 0;          ///< scheduler tasks (front + verify)
   size_t tasks_stolen = 0;            ///< tasks run by a non-spawning worker
   size_t steal_attempts = 0;          ///< victim probes (incl. unsuccessful)
@@ -485,11 +494,11 @@ class QueryProcessor {
                                       QueryContext* ctx,
                                       QueryStats* stats = nullptr) const;
 
-  /// Runs `queries` under the configured batch scheduler. Results are in
-  /// input order and bit-identical to sequential Query(queries[i], options)
-  /// calls — under either scheduler, at any worker count and task grain:
-  /// every query reruns the pipeline from the same options.seed regardless
-  /// of which worker claims which task.
+  /// Runs `queries` as task graphs on BatchOptions::stealer, or on a
+  /// scheduler of BatchOptions::num_threads built for the call. Results are
+  /// in input order and bit-identical to sequential Query(queries[i],
+  /// options) calls at any width: every query reruns the pipeline from the
+  /// same options.seed regardless of which worker claims which task.
   std::vector<BatchQueryResult> QueryBatch(
       const std::vector<Graph>& queries, const QueryOptions& options,
       const BatchOptions& batch = BatchOptions(),
@@ -534,8 +543,18 @@ class QueryProcessor {
   }
 
  private:
-  friend struct StealingBatchRunner;  // task bodies (processor.cc)
   friend class ServingCore;  // admission-queue frontend (serving/)
+
+  /// Spawns `g`'s front task onto `worker`'s deque of g->run->sched. Call
+  /// only from inside a task running on `worker`.
+  static void SpawnQuery(QueryTaskGraph* g, uint32_t worker);
+
+  /// The task-graph bodies (TaskScheduler::TaskFn signature): the front
+  /// stages, one candidate's verification (k = a), and the merge plus the
+  /// caller's completion.
+  static void FrontTask(void* arg, uint32_t worker, uint32_t a, uint32_t b);
+  static void VerifyTask(void* arg, uint32_t worker, uint32_t a, uint32_t b);
+  static void FinishTask(QueryTaskGraph* g);
 
   /// Stage 0–2 of the decomposed pipeline: cache probe, relaxation, match
   /// plans, structural filter, probabilistic pruning, and the sequential
@@ -556,34 +575,6 @@ class QueryProcessor {
   Status FrontStagesImpl(const Graph& q, const QueryOptions& options,
                          QueryContext* ctx, QueryJob* job) const;
 
-  /// Query() without the serving lock — the body every locked entry point
-  /// calls (public Query takes the shared lock; QueryBatch holds it for the
-  /// whole batch, so its workers must not re-acquire).
-  Result<std::vector<uint32_t>> QueryImpl(const Graph& q,
-                                          const QueryOptions& options,
-                                          QueryContext* ctx,
-                                          QueryStats* stats) const;
-
-  /// Answer-cache hookup for one batch: the cache, the options fingerprint
-  /// (computed once per batch), and the epoch the batch serves at.
-  struct AnswerCacheWiring {
-    AnswerCache* cache = nullptr;
-    const std::string* fingerprint = nullptr;
-    uint64_t epoch = 0;
-  };
-
-  std::vector<BatchQueryResult> QueryBatchChunked(
-      const std::vector<Graph>& queries, const QueryOptions& options,
-      const BatchOptions& batch, BatchQueryCache* cache,
-      const AnswerCacheWiring& answers, uint32_t num_threads,
-      uint32_t* threads_used) const;
-
-  std::vector<BatchQueryResult> QueryBatchStealing(
-      const std::vector<Graph>& queries, const QueryOptions& options,
-      const BatchOptions& batch, BatchQueryCache* cache,
-      const AnswerCacheWiring& answers, uint32_t num_threads,
-      const WallTimer& batch_timer, uint32_t* threads_used,
-      BatchStats* batch_stats) const;
 
   /// Compact() body; caller holds the unique serving lock.
   void CompactLocked();

@@ -43,16 +43,23 @@ bool TicketState::resolved() const {
 }
 
 // ---------------------------------------------------------------------------
-// Per-query wave state: one QueryRun per popped query ticket, heap-allocated
-// by the pump and deleted by whichever task resolves it (mirrors
-// StealingBatchRunner::Job, which has a batch to own it — waves do not).
+// A popped query ticket's task graph: heap-allocated by the pump, resolved
+// and deleted by its own completion (a batch owns its graphs; a wave does
+// not).
 // ---------------------------------------------------------------------------
 
-struct ServingCore::QueryRun {
+struct ServingCore::TicketQuery final : QueryTaskGraph {
   ServingCore* core = nullptr;
   std::shared_ptr<TicketState> ticket;
-  QueryJob job;
-  std::atomic<uint32_t> remaining{0};  ///< outstanding verify tasks
+
+  void Complete() override {
+    ServingCore* c = core;
+    c->ResolveQuery(this);
+    delete this;
+    // Release AFTER the resolve: the pump's "stay resident" check may only
+    // see 0 once this query is fully accounted for.
+    c->wave_inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -73,6 +80,12 @@ ServingCore::ServingCore(QueryProcessor* proc, ServingOptions options)
     options_.remove = [proc](uint32_t id) { return proc->RemoveGraph(id); };
   }
   sched_ = std::make_unique<TaskScheduler>(options_.num_threads);
+  run_.proc = proc_;
+  run_.options = &options_.query;
+  run_.sched = sched_.get();
+  run_.answer_cache = options_.answer_cache;  // no batch-scoped cache
+  run_.answer_fingerprint = &fingerprint_;
+  run_.front_failpoint = "serving.query.front";
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
   deadline_thread_ = std::thread([this] { DeadlineLoop(); });
 }
@@ -294,7 +307,8 @@ void ServingCore::RunWave() {
   // epoch. The pump root admits queries mid-run; the wave ends when no query
   // is poppable and none is in flight.
   std::shared_lock<std::shared_mutex> lock(proc_->live_mu_);
-  wave_epoch_ = proc_->epoch();
+  // Read by wave tasks — ordered by the scheduler's run boundary.
+  run_.answer_epoch = proc_->epoch();
   n_waves_.fetch_add(1, std::memory_order_relaxed);
   TaskScheduler::Task root;
   root.fn = &ServingCore::PumpTask;
@@ -358,18 +372,22 @@ void ServingCore::PumpTask(void* ctx, uint32_t worker, uint32_t /*a*/,
   auto* core = static_cast<ServingCore*>(ctx);
   // Pop every currently-poppable query. Incrementing wave_inflight_ BEFORE
   // spawning keeps the "stay resident" decision below conservative.
-  std::vector<QueryRun*> popped;
+  std::vector<TicketQuery*> popped;
   std::shared_ptr<TicketState> ticket;
   while (core->queue_.TryPopIf(
       [](const std::shared_ptr<TicketState>& t) {
         return t->kind == TicketState::Kind::kQuery;
       },
       &ticket)) {
-    auto* run = new QueryRun();
-    run->core = core;
-    run->ticket = std::move(ticket);
+    auto* query = new TicketQuery();
+    query->core = core;
+    query->run = &core->run_;
+    query->query = &ticket->query;
+    query->cancel = &ticket->cancel;
+    query->cancel_after_draws = ticket->cancel_after_draws;
+    query->ticket = std::move(ticket);
     core->wave_inflight_.fetch_add(1, std::memory_order_acq_rel);
-    popped.push_back(run);
+    popped.push_back(query);
   }
   const bool stay =
       !popped.empty() ||
@@ -389,83 +407,18 @@ void ServingCore::PumpTask(void* ctx, uint32_t worker, uint32_t /*a*/,
     }
   }
   for (size_t i = popped.size(); i-- > 0;) {
-    TaskScheduler::Task task;
-    task.fn = &ServingCore::QueryTask;
-    task.ctx = popped[i];
-    core->sched_->Spawn(worker, task);
+    QueryProcessor::SpawnQuery(popped[i], worker);
   }
   // !stay: queue head is empty or exclusive and nothing is in flight — the
   // wave drains and the dispatcher re-evaluates (mutation, wait, shutdown).
 }
 
-void ServingCore::QueryTask(void* ctx, uint32_t worker, uint32_t /*a*/,
-                            uint32_t /*b*/) {
-  auto* run = static_cast<ServingCore::QueryRun*>(ctx);
-  ServingCore* core = run->core;
-  TicketState* t = run->ticket.get();
-
-  const Status injected = FailpointCheck("serving.query.front");
-  if (!injected.ok()) {
-    run->job.Clear();
-    run->job.status = injected;
-    core->FinishRun(run);
-    return;
-  }
-
-  QueryContext* qctx = core->sched_->WorkerState<QueryContext>(worker);
-  qctx->cache = nullptr;  // no batch-scoped cache across a live wave
-  qctx->answer_cache = core->options_.answer_cache;
-  qctx->answer_fingerprint = &core->fingerprint_;
-  qctx->answer_epoch = core->wave_epoch_;
-  qctx->cancel = &t->cancel;
-  qctx->cancel_after_draws = t->cancel_after_draws;
-  core->proc_->RunFrontStages(t->query, core->options_.query, qctx, &run->job);
-  // The job captured the wiring; clear the per-worker context so a later
-  // query on this worker cannot inherit another ticket's token.
-  qctx->cancel = nullptr;
-  qctx->cancel_after_draws = 0;
-
-  const size_t n = run->job.to_verify.size();
-  if (!run->job.status.ok() || n == 0) {
-    core->FinishRun(run);
-    return;
-  }
-  run->remaining.store(static_cast<uint32_t>(n), std::memory_order_relaxed);
-  // Reverse spawn order: candidate 0 runs next on this worker (LIFO pop)
-  // while thieves steal from the tail — same shape as StealingBatchRunner.
-  for (size_t k = n; k-- > 0;) {
-    TaskScheduler::Task task;
-    task.fn = &ServingCore::VerifyTask;
-    task.ctx = run;
-    task.a = static_cast<uint32_t>(k);
-    task.b = static_cast<uint32_t>(k + 1);
-    core->sched_->Spawn(worker, task);
-  }
-}
-
-void ServingCore::VerifyTask(void* ctx, uint32_t worker, uint32_t a,
-                             uint32_t b) {
-  auto* run = static_cast<ServingCore::QueryRun*>(ctx);
-  ServingCore* core = run->core;
-  QueryContext* qctx = core->sched_->WorkerState<QueryContext>(worker);
-  for (uint32_t k = a; k < b; ++k) {
-    core->proc_->VerifyCandidate(core->options_.query, &run->job, k,
-                                 &qctx->verifier_scratch);
-  }
-  // acq_rel: the last finisher must observe every verdict/interval write.
-  if (run->remaining.fetch_sub(static_cast<uint32_t>(b - a),
-                               std::memory_order_acq_rel) == b - a) {
-    core->FinishRun(run);
-  }
-}
-
-void ServingCore::FinishRun(QueryRun* run) {
-  proc_->FinishQuery(&run->job);
-  QueryJob& job = run->job;
-  TicketState* t = run->ticket.get();
+void ServingCore::ResolveQuery(TicketQuery* query) {
+  QueryJob& job = query->job;
+  TicketState* t = query->ticket.get();
 
   ServeResult r;
-  r.epoch = wave_epoch_;
+  r.epoch = run_.answer_epoch;
   if (!job.status.ok()) {
     r.status = job.status;
   } else if (job.cancelled.load(std::memory_order_relaxed)) {
@@ -495,7 +448,7 @@ void ServingCore::FinishRun(QueryRun* run) {
     r.answers = std::move(job.answers);
     r.stats = job.stats;
   }
-  // Every branch above filled r.stats from job.stats; fold the signature
+  // Every branch above filled r.stats from job.stats; fold the per-query
   // counters into the core totals before resolving.
   n_sig_pairs_rejected_.fetch_add(r.stats.sig_pairs_rejected,
                                   std::memory_order_relaxed);
@@ -503,15 +456,15 @@ void ServingCore::FinishRun(QueryRun* run) {
                                         std::memory_order_relaxed);
   n_vf2_calls_avoided_.fetch_add(r.stats.vf2_calls_avoided,
                                  std::memory_order_relaxed);
+  n_verification_failures_.fetch_add(r.stats.verification_failures,
+                                     std::memory_order_relaxed);
+  n_cancelled_candidates_.fetch_add(r.stats.cancelled_candidates,
+                                    std::memory_order_relaxed);
   RecordResolution(r.status, r.degraded);
   if (!t->Resolve(std::move(r))) {
     n_double_resolves_.fetch_add(1, std::memory_order_relaxed);
   }
   drain_.RecordCompletion(clock_.Seconds());
-  delete run;
-  // Release AFTER the resolve: the pump's "stay resident" check may only
-  // see 0 once this query is fully accounted for.
-  wave_inflight_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 // ---------------------------------------------------------------------------
@@ -536,6 +489,10 @@ ServingStats ServingCore::stats() const {
   s.domain_candidates_pruned =
       n_domain_candidates_pruned_.load(std::memory_order_relaxed);
   s.vf2_calls_avoided = n_vf2_calls_avoided_.load(std::memory_order_relaxed);
+  s.verification_failures =
+      n_verification_failures_.load(std::memory_order_relaxed);
+  s.cancelled_candidates =
+      n_cancelled_candidates_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -13,10 +13,11 @@
 //   the queue head is a query it takes QueryProcessor::live_mu_ SHARED,
 //   freezes the epoch, and runs one TaskScheduler wave whose single root is
 //   the *pump task*: the pump pops every poppable query (head not an
-//   exclusive mutation), spawns its front-stages task mid-run
-//   (TaskScheduler::Spawn), re-spawns itself while queries are in flight —
-//   so arrivals DURING the wave join it, stage-pipelined with running
-//   queries — and exits once nothing is in flight and no query is poppable.
+//   exclusive mutation), spawns its task graph mid-run (the same
+//   QueryTaskGraph QueryBatch runs; see query/processor.h), re-spawns
+//   itself while queries are in flight — so arrivals DURING the wave join
+//   it, stage-pipelined with running queries — and exits once nothing is in
+//   flight and no query is poppable.
 //   The wave then drains, the shared lock drops, and the dispatcher pops an
 //   exclusive mutation if one heads the queue, applies it (the processor
 //   takes the lock exclusive internally), resolves its ticket, and loops.
@@ -205,6 +206,9 @@ struct ServingStats {
   uint64_t sig_pairs_rejected = 0;
   uint64_t domain_candidates_pruned = 0;
   uint64_t vf2_calls_avoided = 0;
+  /// Dropped-candidate totals across all resolved queries (see QueryStats).
+  uint64_t verification_failures = 0;
+  uint64_t cancelled_candidates = 0;
 };
 
 /// Construction knobs.
@@ -258,18 +262,16 @@ class ServingCore {
   size_t queue_depth() const { return queue_.size(); }
 
  private:
-  struct QueryRun;  // per-query task-graph state (serving_core.cc)
+  struct TicketQuery;  // a query ticket's task graph (serving_core.cc)
 
   static void PumpTask(void* ctx, uint32_t worker, uint32_t a, uint32_t b);
-  static void QueryTask(void* ctx, uint32_t worker, uint32_t a, uint32_t b);
-  static void VerifyTask(void* ctx, uint32_t worker, uint32_t a, uint32_t b);
 
   QueryTicket SubmitTicket(std::shared_ptr<TicketState> ticket);
   void DispatcherLoop();
   void DeadlineLoop();
   void RunWave();
   void ApplyMutation(const std::shared_ptr<TicketState>& ticket);
-  void FinishRun(QueryRun* run);
+  void ResolveQuery(TicketQuery* query);
   void ResolveShed(const std::shared_ptr<TicketState>& ticket);
   void RecordResolution(const Status& status, bool degraded);
   void ArmDeadline(const std::shared_ptr<TicketState>& ticket);
@@ -278,6 +280,9 @@ class ServingCore {
   ServingOptions options_;
   std::string fingerprint_;  ///< QueryOptionsFingerprint(options_.query)
   std::unique_ptr<TaskScheduler> sched_;
+  /// Task-graph wiring every wave's queries share; RunWave re-freezes its
+  /// answer_epoch before each scheduler run.
+  QueryTaskRun run_;
 
   BoundedPriorityQueue<std::shared_ptr<TicketState>> queue_;
   DrainRateEstimator drain_;
@@ -289,9 +294,6 @@ class ServingCore {
 
   /// Queries popped into the current wave and not yet resolved.
   std::atomic<uint32_t> wave_inflight_{0};
-  /// Epoch frozen for the current wave (written by the dispatcher before
-  /// Run, read by wave tasks — ordered by the scheduler's run boundary).
-  uint64_t wave_epoch_ = 0;
 
   std::atomic<uint64_t> next_ticket_id_{1};
 
@@ -323,6 +325,8 @@ class ServingCore {
   std::atomic<uint64_t> n_sig_pairs_rejected_{0};
   std::atomic<uint64_t> n_domain_candidates_pruned_{0};
   std::atomic<uint64_t> n_vf2_calls_avoided_{0};
+  std::atomic<uint64_t> n_verification_failures_{0};
+  std::atomic<uint64_t> n_cancelled_candidates_{0};
 
   std::thread dispatcher_;
   std::thread deadline_thread_;

@@ -112,7 +112,7 @@ TEST(AnswerCacheTest, OptionsFingerprintSeparatesAnswerAffectingKnobs) {
   EXPECT_NE(QueryOptionsFingerprint(a), QueryOptionsFingerprint(b));
   // Execution-only knobs must NOT fragment the key space.
   QueryOptions c = a;
-  c.verify_threads = 8;
+  c.use_signatures = !a.use_signatures;
   EXPECT_EQ(QueryOptionsFingerprint(a), QueryOptionsFingerprint(c));
 }
 
@@ -222,7 +222,7 @@ TEST(AnswerCacheBatchTest, RepeatedBatchesHitAndMutationsInvalidate) {
   }
 }
 
-TEST(AnswerCacheBatchTest, StealingSchedulerUsesTheCacheToo) {
+TEST(AnswerCacheBatchTest, MultiWorkerBatchUsesTheCacheToo) {
   BatchSetup s = BuildBatchSetup(8017, 8);
   QueryProcessor processor(&s.db, &s.pmi, &s.filter);
   QueryOptions options;
@@ -233,7 +233,6 @@ TEST(AnswerCacheBatchTest, StealingSchedulerUsesTheCacheToo) {
                                       s.db[5].certain(), s.db[7].certain()};
   AnswerCache answer_cache;
   BatchOptions batch;
-  batch.scheduler = BatchOptions::Scheduler::kStealing;
   batch.num_threads = 3;
   batch.answer_cache = &answer_cache;
 

@@ -102,7 +102,6 @@ TEST(BatchCacheTest, CachedBatchMatchesUncachedAtAnyThreadCount) {
   for (uint32_t threads : {1u, 2u, 4u}) {
     BatchOptions cached;
     cached.num_threads = threads;
-    cached.chunk_size = 2;
     cached.enable_cache = true;
     BatchStats stats;
     const auto results = processor.QueryBatch(queries, options, cached, &stats);

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <gtest/gtest.h>
 
+#include "pgsim/common/task_scheduler.h"
 #include "pgsim/common/thread_pool.h"
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/index/pmi.h"
@@ -80,7 +81,6 @@ TEST(QueryBatchTest, MatchesSequentialQueryAtAnyThreadCount) {
   for (uint32_t threads : {1u, 2u, 4u}) {
     BatchOptions batch;
     batch.num_threads = threads;
-    batch.chunk_size = 2;
     BatchStats stats;
     const auto results = processor.QueryBatch(queries, options, batch, &stats);
     ASSERT_EQ(results.size(), queries.size());
@@ -109,17 +109,17 @@ TEST(QueryBatchTest, MatchesSequentialQueryAtAnyThreadCount) {
   }
 }
 
-TEST(QueryBatchTest, CallerOwnedPoolMatchesTransientPool) {
+TEST(QueryBatchTest, CallerOwnedSchedulerMatchesOwnedScheduler) {
   const Pipeline p = MakePipeline(2201);
   const QueryProcessor processor(&p.db, &p.pmi, &p.filter);
   const std::vector<Graph> queries = MakeQueries(p, 2202, 6);
   const QueryOptions options = FastOptions();
 
   const auto baseline = processor.QueryBatch(queries, options);
-  ThreadPool pool(3);
+  TaskScheduler sched(3);
   BatchOptions batch;
-  batch.pool = &pool;
-  for (int round = 0; round < 2; ++round) {  // pool survives across batches
+  batch.stealer = &sched;
+  for (int round = 0; round < 2; ++round) {  // scheduler survives batches
     BatchStats stats;
     const auto results = processor.QueryBatch(queries, options, batch, &stats);
     ASSERT_EQ(results.size(), baseline.size());

@@ -11,6 +11,7 @@
 #include "pgsim/index/pmi.h"
 #include "pgsim/query/processor.h"
 #include "pgsim/query/verifier.h"
+#include "pgsim/serving/serving_core.h"
 #include "test_util.h"
 
 namespace pgsim {
@@ -116,6 +117,37 @@ TEST(ProcessorEdgeTest, VerificationFailuresAreCountedNotFatal) {
   auto answers = processor.Query(*q, qo, &stats);
   ASSERT_TRUE(answers.ok());
   EXPECT_GT(stats.verification_failures, 0u);
+
+  // The dropped candidates reach every roll-up: the batch and serving sums
+  // equal the per-query QueryStats sums.
+  auto q2 = ExtractQuery(db[1].certain(), 4, &rng);
+  ASSERT_TRUE(q2.ok());
+  const std::vector<Graph> queries{*q, *q2, *q};
+  size_t failures = 0;
+  size_t cancelled = 0;
+  for (const Graph& query : queries) {
+    QueryStats s;
+    ASSERT_TRUE(processor.Query(query, qo, &s).ok());
+    failures += s.verification_failures;
+    cancelled += s.cancelled_candidates;
+  }
+  BatchOptions batch;
+  batch.num_threads = 2;
+  BatchStats batch_stats;
+  processor.QueryBatch(queries, qo, batch, &batch_stats);
+  EXPECT_EQ(batch_stats.verification_failures, failures);
+  EXPECT_EQ(batch_stats.cancelled_candidates, cancelled);
+
+  QueryProcessor serving_processor(&db, nullptr, nullptr);
+  ServingOptions serving;
+  serving.num_threads = 2;
+  serving.query = qo;
+  ServingCore core(&serving_processor, serving);
+  std::vector<QueryTicket> tickets;
+  for (const Graph& query : queries) tickets.push_back(core.Submit(query));
+  for (QueryTicket& t : tickets) ASSERT_TRUE(t.Wait().status.ok());
+  core.Shutdown();
+  EXPECT_EQ(core.stats().verification_failures, failures);
 }
 
 TEST(PrunerRandomLsimTest, RandomSelectionLsimIsValidLowerBound) {

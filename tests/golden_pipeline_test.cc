@@ -4,7 +4,8 @@
 // exact configuration and are pinned so refactors of the offline phase (or
 // of batching/caching) cannot silently change results. Every stage is
 // deterministic by construction — seeded RNGs, order-preserving parallel
-// merges — so these values are stable across thread counts and cache modes.
+// merges — so these values are stable across entry points, scheduler
+// widths and cache modes.
 //
 // If a change legitimately alters them (e.g. a new mining rule), re-pin by
 // rerunning this configuration and updating kGolden* — and say so in the
@@ -12,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "pgsim/common/task_scheduler.h"
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/index/pmi.h"
 #include "pgsim/query/processor.h"
@@ -86,49 +90,60 @@ TEST(GoldenPipelineTest, FullPipelineAnswersArePinned) {
   options.verifier.mc.max_samples = 400;
   const QueryProcessor processor(&db, &pmi, &filter);
 
-  // The pinned values must hold however the batch is executed — including
-  // with stage 3 fanned across an intra-query verification pool, under
-  // either batch scheduler (the work-stealing task graph must reproduce the
-  // chunked parallel-for's answers bit for bit at any steal schedule), and
-  // with the signature gate on or off (its cover test is sound, so skipped
-  // matcher calls can never change an answer or a pinned candidate count).
+  // The pinned values must hold through every entry point — inline Query on
+  // one reused QueryContext, and the QueryBatch task graph at widths 1 and 4
+  // on an owned or a caller-owned TaskScheduler (the steal schedule must not
+  // move an answer) — with the batch cache on or off, and with the signature
+  // gate on or off (its cover test is sound, so skipped matcher calls can
+  // never change an answer or a pinned candidate count).
+  const auto expect_golden = [](size_t i, const std::vector<uint32_t>& answers,
+                                const QueryStats& stats,
+                                const std::string& where) {
+    const GoldenQuery& golden = GoldenQueries()[i];
+    EXPECT_EQ(answers, golden.answers) << "query " << i << " " << where;
+    EXPECT_EQ(stats.structural_candidates, golden.structural_candidates)
+        << i << " " << where;
+    EXPECT_EQ(stats.verification_candidates, golden.verification_candidates)
+        << i << " " << where;
+    EXPECT_EQ(stats.num_relaxed_queries, golden.num_relaxed_queries)
+        << i << " " << where;
+  };
   for (const bool use_signatures : {true, false}) {
-  for (const bool enable_cache : {true, false}) {
-    for (const uint32_t threads : {1u, 4u}) {
-      for (const uint32_t verify_threads : {1u, 3u}) {
-      for (const auto scheduler : {BatchOptions::Scheduler::kChunked,
-                                   BatchOptions::Scheduler::kStealing}) {
-      BatchOptions batch;
-      batch.num_threads = threads;
-      batch.enable_cache = enable_cache;
-      batch.scheduler = scheduler;
-      options.verify_threads = verify_threads;
-      options.use_signatures = use_signatures;
-      const auto results = processor.QueryBatch(queries, options, batch);
-      ASSERT_EQ(results.size(), GoldenQueries().size());
-      for (size_t i = 0; i < results.size(); ++i) {
-        const GoldenQuery& golden = GoldenQueries()[i];
-        ASSERT_TRUE(results[i].status.ok()) << "query " << i;
-        EXPECT_EQ(results[i].answers, golden.answers)
-            << "query " << i << " threads=" << threads
-            << " cache=" << enable_cache
-            << " verify_threads=" << verify_threads << " stealing="
-            << (scheduler == BatchOptions::Scheduler::kStealing)
-            << " signatures=" << use_signatures;
-        EXPECT_EQ(results[i].stats.structural_candidates,
-                  golden.structural_candidates)
-            << i;
-        EXPECT_EQ(results[i].stats.verification_candidates,
-                  golden.verification_candidates)
-            << i;
-        EXPECT_EQ(results[i].stats.num_relaxed_queries,
-                  golden.num_relaxed_queries)
-            << i;
-      }
-      }
+    options.use_signatures = use_signatures;
+    const std::string sig = " signatures=" + std::to_string(use_signatures);
+
+    QueryContext ctx;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      QueryStats stats;
+      const auto answers = processor.Query(queries[i], options, &ctx, &stats);
+      ASSERT_TRUE(answers.ok()) << "query " << i;
+      expect_golden(i, *answers, stats, "Query(ctx)" + sig);
+    }
+
+    for (const bool enable_cache : {true, false}) {
+      for (const uint32_t width : {1u, 4u}) {
+        for (const bool caller_owned : {false, true}) {
+          TaskScheduler sched(width);
+          BatchOptions batch;
+          batch.enable_cache = enable_cache;
+          if (caller_owned) {
+            batch.stealer = &sched;
+          } else {
+            batch.num_threads = width;
+          }
+          const auto results = processor.QueryBatch(queries, options, batch);
+          ASSERT_EQ(results.size(), GoldenQueries().size());
+          const std::string where =
+              "QueryBatch width=" + std::to_string(width) +
+              " caller_owned=" + std::to_string(caller_owned) +
+              " cache=" + std::to_string(enable_cache) + sig;
+          for (size_t i = 0; i < results.size(); ++i) {
+            ASSERT_TRUE(results[i].status.ok()) << "query " << i;
+            expect_golden(i, results[i].answers, results[i].stats, where);
+          }
+        }
       }
     }
-  }
   }
 }
 

@@ -2,9 +2,9 @@
 // every task in a (nested) graph executes exactly once; a skewed spawn
 // pattern actually gets stolen by idle workers; exceptions propagate out of
 // Run() without wedging the scheduler; ThreadPool's bulk submission and
-// shutdown drain everything; and QueryBatch answers are bit-identical
-// between the chunked and stealing schedulers at every worker count and
-// task grain. The multi-worker suites are part of the TSan CI job.
+// shutdown drain everything; and QueryBatch answers are bit-identical to
+// sequential Query at every worker count. The multi-worker suites are part
+// of the TSan CI job.
 
 #include <atomic>
 #include <chrono>
@@ -166,21 +166,6 @@ TEST(TaskSchedulerTest, WorkerStateIsRetainedAcrossRuns) {
   EXPECT_EQ(*sched.WorkerState<int>(0), 41);
 }
 
-TEST(TaskSchedulerTest, BorrowedPoolRunsAllTasks) {
-  ThreadPool pool(3);
-  TaskScheduler sched(&pool);
-  EXPECT_EQ(sched.num_workers(), 3u);
-  CountCtx ctx;
-  std::vector<Task> roots(64, Task{&CountTask, &ctx, 0, 0});
-  sched.Run(roots);
-  EXPECT_EQ(ctx.executed.load(), 64u);
-  // The borrowed pool is still a working pool afterwards.
-  std::atomic<int> done{0};
-  pool.Submit([&done] { done.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 1);
-}
-
 // ---------------------------------------------------------------------------
 // ThreadPool bulk submission and shutdown (the SubmitMany satellite).
 // ---------------------------------------------------------------------------
@@ -212,7 +197,7 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
 }
 
 // ---------------------------------------------------------------------------
-// QueryBatch: chunked vs stealing equivalence.
+// QueryBatch: task-graph vs sequential Query equivalence.
 // ---------------------------------------------------------------------------
 
 struct Pipeline {
@@ -263,44 +248,42 @@ QueryOptions FastOptions() {
   return options;
 }
 
-TEST(StealingBatchTest, MatchesChunkedSchedulerAtEveryWidthAndGrain) {
+TEST(StealingBatchTest, MatchesSequentialQueryAtEveryWidth) {
   const Pipeline p = MakePipeline(3301);
   const QueryProcessor processor(&p.db, &p.pmi, &p.filter);
   const std::vector<Graph> queries = MakeQueries(p, 3302, 8);
   const QueryOptions options = FastOptions();
 
-  BatchOptions chunked;
-  chunked.scheduler = BatchOptions::Scheduler::kChunked;
-  chunked.num_threads = 1;
-  const auto baseline = processor.QueryBatch(queries, options, chunked);
+  std::vector<std::vector<uint32_t>> sequential;
+  std::vector<QueryStats> sequential_stats(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto answers = processor.Query(queries[i], options, &sequential_stats[i]);
+    ASSERT_TRUE(answers.ok());
+    sequential.push_back(std::move(answers).value());
+  }
 
   for (uint32_t threads : {1u, 2u, 4u}) {
-    for (uint32_t grain : {1u, 3u}) {
-      BatchOptions batch;
-      batch.scheduler = BatchOptions::Scheduler::kStealing;
-      batch.num_threads = threads;
-      batch.task_grain = grain;
-      BatchStats stats;
-      const auto results =
-          processor.QueryBatch(queries, options, batch, &stats);
-      ASSERT_EQ(results.size(), baseline.size());
-      for (size_t i = 0; i < results.size(); ++i) {
-        ASSERT_TRUE(results[i].status.ok());
-        EXPECT_EQ(results[i].answers, baseline[i].answers)
-            << "query " << i << " threads=" << threads << " grain=" << grain;
-        EXPECT_EQ(results[i].stats.verification_candidates,
-                  baseline[i].stats.verification_candidates);
-        EXPECT_EQ(results[i].stats.pruned_by_upper,
-                  baseline[i].stats.pruned_by_upper);
-        EXPECT_EQ(results[i].stats.accepted_by_lower,
-                  baseline[i].stats.accepted_by_lower);
-      }
-      if (threads > 1) {
-        // Front tasks + at least one verify task per verifying query.
-        EXPECT_GE(stats.tasks_executed, queries.size());
-        EXPECT_EQ(stats.threads_used, threads);
-      }
+    BatchOptions batch;
+    batch.num_threads = threads;
+    BatchStats stats;
+    const auto results = processor.QueryBatch(queries, options, batch, &stats);
+    ASSERT_EQ(results.size(), queries.size());
+    size_t verify_tasks = 0;
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].status.ok());
+      EXPECT_EQ(results[i].answers, sequential[i])
+          << "query " << i << " threads=" << threads;
+      EXPECT_EQ(results[i].stats.verification_candidates,
+                sequential_stats[i].verification_candidates);
+      EXPECT_EQ(results[i].stats.pruned_by_upper,
+                sequential_stats[i].pruned_by_upper);
+      EXPECT_EQ(results[i].stats.accepted_by_lower,
+                sequential_stats[i].accepted_by_lower);
+      verify_tasks += results[i].stats.verification_candidates;
     }
+    // One front task per query plus one verify task per candidate.
+    EXPECT_EQ(stats.tasks_executed, queries.size() + verify_tasks);
+    EXPECT_EQ(stats.threads_used, threads);
   }
 }
 
