@@ -502,7 +502,7 @@ const VerifierFixture& GetVerifierFixture() {
 
 void BM_Verifier_CollectEvents(benchmark::State& state) {
   // Mirrors stage 3's production shape: the processor compiles one plan per
-  // relaxed query up front (shared through the batch cache) and every
+  // relaxed query up front (held in its CompiledQuery) and every
   // candidate's collection reuses them.
   const VerifierFixture& f = GetVerifierFixture();
   std::vector<MatchPlan> plans;
@@ -761,24 +761,25 @@ BENCHMARK(BM_ColdStart_IndexBuild)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// ---- Batch cache: a workload-shaped batch (each query duplicated 4x,  ----
-// ---- as repeated user queries are) with the relaxation/feature-count  ----
-// ---- cache on vs off. Answers are bit-identical either way.           ----
+// ---- Compiled-query cache: a workload-shaped batch (each query      ----
+// ---- duplicated 4x, as repeated user queries are) vs a batch of as  ----
+// ---- many distinct queries. Duplicates share one CompiledQuery.     ----
 
 void BM_QueryBatch_RelaxationCache(benchmark::State& state) {
   const BatchFixture& f = GetBatchFixture();
   const QueryProcessor processor(&f.db, &f.pmi, &f.filter);
-  // 8-edge queries at delta=2 make the cached stages (C(8,2) deletion sets
-  // with VF2 dedup + per-feature embedding counting) the dominant per-query
-  // cost; light verification sampling keeps the uncachable tail small so
-  // the measurement isolates what the cache can save.
+  // 8-edge queries at delta=2 make the compiled stages (C(8,2) deletion
+  // sets with VF2 dedup + per-feature embedding counting) the dominant
+  // per-query cost; light verification sampling keeps the per-candidate
+  // tail small so the measurement isolates what sharing can save.
+  const int copies = state.range(0) != 0 ? 4 : 1;
   Rng qrng(69);
-  std::vector<Graph> repeated;
-  while (repeated.size() < 96) {
+  std::vector<Graph> batch_queries;
+  while (batch_queries.size() < 96) {
     const auto& source = f.db[qrng.Uniform(f.db.size())].certain();
     auto q = ExtractQuery(source, 8, &qrng);
     if (!q.ok()) continue;
-    for (int copy = 0; copy < 4; ++copy) repeated.push_back(*q);
+    for (int copy = 0; copy < copies; ++copy) batch_queries.push_back(*q);
   }
   QueryOptions options;
   options.delta = 2;
@@ -786,21 +787,20 @@ void BM_QueryBatch_RelaxationCache(benchmark::State& state) {
   options.verifier.mc.max_samples = 50;
   BatchOptions batch;
   batch.num_threads = 1;
-  batch.enable_cache = state.range(0) != 0;
   size_t hits = 0;
   for (auto _ : state) {
     BatchStats stats;
     const auto results =
-        processor.QueryBatch(repeated, options, batch, &stats);
-    hits += stats.relax_cache_hits;
+        processor.QueryBatch(batch_queries, options, batch, &stats);
+    hits += stats.compiled_cache_hits;
     benchmark::DoNotOptimize(results.data());
   }
-  state.SetItemsProcessed(int64_t(state.iterations()) * repeated.size());
-  state.counters["relax_hits"] = static_cast<double>(hits);
+  state.SetItemsProcessed(int64_t(state.iterations()) * batch_queries.size());
+  state.counters["compiled_hits"] = static_cast<double>(hits);
 }
 BENCHMARK(BM_QueryBatch_RelaxationCache)
-    ->Arg(0)  // cache off (cold path baseline)
-    ->Arg(1)  // cache on
+    ->Arg(0)  // 96 distinct queries
+    ->Arg(1)  // 24 distinct queries, each 4x
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -1130,8 +1130,8 @@ const FilterScanFixture& GetFilterScanFixture() {
 
 void BM_Filter_CountScan(benchmark::State& state) {
   // One iteration = stage 1's count filter for every fixture query, with
-  // the per-query feature counts precomputed (a batch-cache hit), so the
-  // measurement isolates the database-wide threshold sweep itself.
+  // the per-query feature counts precomputed (as a CompiledQuery holds
+  // them), so the measurement isolates the database-wide threshold sweep.
   const FilterScanFixture& f = GetFilterScanFixture();
   StructuralFilterScratch scratch;
   std::vector<uint32_t> survivors;

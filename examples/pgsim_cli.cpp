@@ -5,7 +5,7 @@
 //   pgsim_cli index    --db=db.txt --out=index.pmi [--build-threads=N]
 //   pgsim_cli query    --db=db.txt --queries=q.txt [--index=index.pmi]
 //                      [--delta=N] [--epsilon=F] [--threads=N]
-//                      [--build-threads=N] [--cache=0|1]
+//                      [--build-threads=N]
 //                      [--answer-cache[=CAP]] [--repeat=N] [--mutate-every=N]
 //                      [--wal-dir=DIR] [--snapshot-every=N]
 //                      [--signatures=on|off]
@@ -36,7 +36,8 @@
 // (1 = inline on the calling thread, 0 = all hardware threads): each query
 // is a front-stages task plus one verification task per candidate, so a
 // skewed batch keeps every worker busy. Answers are bit-identical at any
-// width.
+// width. Byte-identical queries in one batch share one compiled query; the
+// per-pass "compiled cache" line reports how many did.
 //
 // --build-threads parallelizes the offline phase (feature mining, PMI bound
 // columns, structural-filter counts) on a thread pool; 0 (default) uses all
@@ -300,7 +301,7 @@ int CmdQuery(int argc, char** argv) {
   if (RejectUnknownFlags(
           argc, argv,
           {"db", "index", "queries", "build-threads", "delta", "epsilon",
-           "signatures", "threads", "cache", "answer-cache", "repeat",
+           "signatures", "threads", "answer-cache", "repeat",
            "mutate-every", "wal-dir", "snapshot-every"})) {
     return 2;
   }
@@ -324,7 +325,6 @@ int CmdQuery(int argc, char** argv) {
   // Clamp: negative flag values would wrap through the uint32 fields.
   const int64_t threads = FlagInt(argc, argv, "threads", 1);
   batch.num_threads = threads < 0 ? 1 : static_cast<uint32_t>(threads);
-  batch.enable_cache = FlagInt(argc, argv, "cache", 1) != 0;
 
   // Cross-batch answer cache + live-mutation churn knobs.
   const bool answer_cache_on = FlagPresent(argc, argv, "answer-cache");
@@ -438,18 +438,11 @@ int CmdQuery(int argc, char** argv) {
           batch_stats.overlapped_verify_tasks,
           batch_stats.sum_queue_wait_seconds * 1e3);
     }
-    if (batch.enable_cache) {
-      std::printf(
-          "cache: relax %zu/%zu hits, counts %zu/%zu hits, pruner %zu/%zu "
-          "hits, %zu uncacheable (%.1f ms probing)\n",
-          batch_stats.relax_cache_hits,
-          batch_stats.relax_cache_hits + batch_stats.relax_cache_misses,
-          batch_stats.counts_cache_hits,
-          batch_stats.counts_cache_hits + batch_stats.counts_cache_misses,
-          batch_stats.prepared_cache_hits,
-          batch_stats.prepared_cache_hits + batch_stats.prepared_cache_misses,
-          batch_stats.cache_uncacheable, batch_stats.cache_seconds * 1e3);
-    }
+    std::printf("compiled cache: %zu/%zu hits (%.1f ms probing)\n",
+                batch_stats.compiled_cache_hits,
+                batch_stats.compiled_cache_hits +
+                    batch_stats.compiled_cache_misses,
+                batch_stats.cache_seconds * 1e3);
     std::printf(
         "signatures %s: %zu pairs rejected, %zu domain candidates pruned, "
         "%zu VF2 calls avoided\n",

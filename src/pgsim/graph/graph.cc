@@ -224,6 +224,26 @@ Graph EdgeInducedSubgraph(const Graph& g, const std::vector<EdgeId>& edge_ids,
   return builder.Build();
 }
 
+std::string GraphExactKey(const Graph& g) {
+  std::string key;
+  key.reserve(8 + 4 * g.NumVertices() + 12 * g.NumEdges());
+  const auto append_u32 = [&key](uint32_t v) {
+    key.push_back(static_cast<char>(v));
+    key.push_back(static_cast<char>(v >> 8));
+    key.push_back(static_cast<char>(v >> 16));
+    key.push_back(static_cast<char>(v >> 24));
+  };
+  append_u32(g.NumVertices());
+  append_u32(g.NumEdges());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) append_u32(g.VertexLabel(v));
+  for (const Edge& e : g.Edges()) {
+    append_u32(e.u);
+    append_u32(e.v);
+    append_u32(e.label);
+  }
+  return key;
+}
+
 uint64_t GraphFingerprint(const Graph& g) {
   // Two rounds of Weisfeiler–Lehman-style label refinement, then an
   // order-independent combine. Invariant under isomorphism by construction.

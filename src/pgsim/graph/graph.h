@@ -190,6 +190,14 @@ void BuildEdgeSubsetGraph(const Graph& base, const EdgeBitset& present,
 Graph EdgeInducedSubgraph(const Graph& g, const std::vector<EdgeId>& edge_ids,
                           std::vector<VertexId>* vertex_map = nullptr);
 
+/// Byte-exact structural key of `g` AS LABELED: equal keys <=> identical
+/// vertex-label sequences and identical (u, v, label) edge lists. O(|V| +
+/// |E|); isomorphic graphs with different vertex orders get different keys.
+/// Everything the query pipeline derives from a query (its relaxation set,
+/// and through U's order every sampled verdict) is a pure function of this
+/// form, so both query caches key on it.
+std::string GraphExactKey(const Graph& g);
+
 /// A cheap isomorphism-invariant fingerprint: equal graphs hash equal;
 /// unequal hashes imply non-isomorphic. Used to bucket candidates before an
 /// exact isomorphism check.

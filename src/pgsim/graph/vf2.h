@@ -15,8 +15,8 @@
 //   * A MatchPlan is compiled once per pattern (CompileMatchPlan): the
 //     matching order, per-position required label / min-degree, and the
 //     back-edge constraints with their pattern edge ids. Query-side callers
-//     compile each relaxed query's plan once per query (shared through the
-//     batch cache) and run it against every candidate, instead of rebuilding
+//     compile each relaxed query's plan once per query (held in its
+//     CompiledQuery) and run it against every candidate, instead of rebuilding
 //     the plan per (pattern, target) call.
 //   * The matcher itself is iterative (explicit per-position cursors, no
 //     recursion) and draws every buffer from a caller-owned Vf2Scratch:

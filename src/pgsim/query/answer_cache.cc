@@ -10,21 +10,10 @@ AnswerCache::Probe AnswerCache::Find(const Graph& q,
                                      const std::string& options_fingerprint,
                                      uint64_t epoch) {
   Probe probe;
-  // Canonicalize outside the lock — it is the expensive part of a probe.
-  Result<std::string> code = CanonicalCode(q, options_.canonical);
-  if (!code.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.uncacheable;
-    return probe;  // cacheable == false
-  }
-  probe.cacheable = true;
-  {
-    Fingerprint key;
-    key.AddBytes(*code);
-    key.AddBytes(options_fingerprint);
-    probe.key = key.bytes();
-  }
-  probe.exact_key = GraphExactKey(q);
+  Fingerprint key;
+  key.AddBytes(GraphExactKey(q));
+  key.AddBytes(options_fingerprint);
+  probe.key = key.bytes();
 
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(probe.key);
@@ -42,14 +31,6 @@ AnswerCache::Probe AnswerCache::Find(const Graph& q,
     entries_.erase(it);
     return probe;
   }
-  if (entry.exact_key != probe.exact_key) {
-    // Same isomorphism class + options, different vertex labeling: sampled
-    // verdicts may differ, so serving it would break bit-identity with the
-    // uncached pipeline. Keep the entry (its own query may return).
-    ++stats_.conflicts;
-    ++stats_.misses;
-    return probe;
-  }
   ++stats_.hits;
   probe.hit = true;
   probe.answers = entry.answers;
@@ -59,16 +40,15 @@ AnswerCache::Probe AnswerCache::Find(const Graph& q,
 
 void AnswerCache::Store(const Probe& probe, uint64_t epoch,
                         std::vector<uint32_t> answers) {
-  if (!probe.cacheable || probe.hit) return;
+  if (probe.hit) return;
   auto shared = std::make_shared<const std::vector<uint32_t>>(
       std::move(answers));
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(probe.key);
   if (it != entries_.end()) {
-    // Another worker (or an exact-key conflict) already owns the slot;
-    // refresh it — last writer wins, and both writers computed under the
-    // same epoch or the stale check will catch the difference on probe.
-    it->second.exact_key = probe.exact_key;
+    // Another worker already filled the slot; refresh it — last writer
+    // wins, and both writers computed under the same epoch or the stale
+    // check will catch the difference on probe.
     it->second.epoch = epoch;
     it->second.answers = std::move(shared);
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
@@ -76,7 +56,6 @@ void AnswerCache::Store(const Probe& probe, uint64_t epoch,
   }
   lru_.push_front(probe.key);
   Entry entry;
-  entry.exact_key = probe.exact_key;
   entry.epoch = epoch;
   entry.answers = std::move(shared);
   entry.lru_it = lru_.begin();

@@ -1,21 +1,18 @@
 // Cross-batch answer cache, invalidated by index epoch.
 //
-// The BatchQueryCache (batch_cache.h) shares *intermediate* artifacts within
-// one QueryBatch call; this cache completes the story by remembering *final
-// answer sets* across batches — the hot case being a serving loop that sees
-// the same queries again and again between database mutations.
+// QueryBatch shares each query's CompiledQuery (processor.h) within one
+// call; this cache remembers *final answer sets* across calls — the hot
+// case being a serving loop that sees the same queries again and again
+// between database mutations.
 //
-// Keying follows the determinism doctrine of batch_cache.h, tier 2: a cache
-// hit must return byte-identical answers to a fresh pipeline run. Sampled
-// verification draws from RNG streams seeded by the query's exact byte
-// layout position in the pipeline, so two isomorphic-but-differently-labeled
-// queries may legitimately produce different sampled verdicts near the
-// epsilon boundary. Entries are therefore bucketed by canonical class +
-// options fingerprint (CanonicalCode is the persistent identity, and the
-// options fingerprint covers every answer-affecting knob), but a hit
-// additionally requires the stored GraphExactKey to match — a canonical
-// match with a different exact key is counted as a `conflict` and treated
-// as a miss, never served.
+// A hit must return byte-identical answers to a fresh pipeline run. The
+// relaxation set's order, and through it every sampled verdict, depends on
+// the query's exact vertex and edge order, so two isomorphic-but-relabeled
+// queries may legitimately answer differently near the epsilon boundary.
+// Entries are therefore keyed by GraphExactKey(q) plus the options
+// fingerprint (which covers every answer-affecting knob): a relabeling
+// keeps its own entry. The key is linear in the query's size, so every
+// query is cacheable.
 //
 // Invalidation is exact, not heuristic: every entry records the index epoch
 // it was computed under (see ProbabilisticMatrixIndex::epoch and
@@ -25,8 +22,8 @@
 // answer_cache_test pins.
 //
 // Thread safety: all methods are safe for concurrent callers (one mutex; the
-// critical sections are map/list pointer shuffles — canonicalization and key
-// construction happen outside the lock). Answer vectors are handed out as
+// critical sections are map/list pointer shuffles — key construction
+// happens outside the lock). Answer vectors are handed out as
 // shared_ptr-to-const, so an eviction never invalidates a reader.
 
 #pragma once
@@ -39,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "pgsim/graph/canonical.h"
 #include "pgsim/graph/graph.h"
 
 namespace pgsim {
@@ -47,43 +43,37 @@ namespace pgsim {
 struct AnswerCacheOptions {
   /// Entry capacity; least-recently-probed entries evict beyond it.
   size_t max_entries = 1024;
-  /// Canonicalization budget (queries over it are uncacheable, not errors).
-  CanonicalOptions canonical;
 };
 
 /// Monotonic counters (never reset by eviction).
 struct AnswerCacheStats {
-  uint64_t hits = 0;         ///< served from cache (exact key + epoch match)
-  uint64_t misses = 0;       ///< cacheable probe, no servable entry
-  uint64_t stale = 0;        ///< entry dropped: epoch mismatch (⊆ misses)
-  uint64_t conflicts = 0;    ///< entry kept: exact-key mismatch (⊆ misses)
-  uint64_t evictions = 0;    ///< entries dropped by LRU capacity
-  uint64_t uncacheable = 0;  ///< canonicalization over budget
+  uint64_t hits = 0;       ///< served from cache (exact key + epoch match)
+  uint64_t misses = 0;     ///< no servable entry
+  uint64_t stale = 0;      ///< entry dropped: epoch mismatch (⊆ misses)
+  uint64_t evictions = 0;  ///< entries dropped by LRU capacity
 };
 
-/// Epoch-versioned LRU map: (canonical query, options fingerprint) → answers.
+/// Epoch-versioned LRU map: (exact query, options fingerprint) → answers.
 class AnswerCache {
  public:
   explicit AnswerCache(const AnswerCacheOptions& options = AnswerCacheOptions())
       : options_(options) {}
 
   /// One probe's outcome; also the handle Store() needs to fill the slot
-  /// after a miss (so the canonical code is computed once per query).
+  /// after a miss (so the key is built once per query).
   struct Probe {
-    bool cacheable = false;  ///< false: canonical code over budget
     bool hit = false;
     std::shared_ptr<const std::vector<uint32_t>> answers;  ///< set iff hit
-    std::string key;        ///< canonical code + options fingerprint
-    std::string exact_key;  ///< GraphExactKey(q)
+    std::string key;  ///< GraphExactKey(q) + options fingerprint
   };
 
   /// Probes for `q` under `options_fingerprint` at index epoch `epoch`.
   Probe Find(const Graph& q, const std::string& options_fingerprint,
              uint64_t epoch);
 
-  /// Fills the slot a missed Probe addressed (no-op for uncacheable probes
-  /// and for hits). `epoch` must be the epoch the answers were computed
-  /// under — i.e. captured while holding the processor's serving lock.
+  /// Fills the slot a missed Probe addressed (no-op for hits). `epoch` must
+  /// be the epoch the answers were computed under — i.e. captured while
+  /// holding the processor's serving lock.
   void Store(const Probe& probe, uint64_t epoch,
              std::vector<uint32_t> answers);
 
@@ -96,7 +86,6 @@ class AnswerCache {
 
  private:
   struct Entry {
-    std::string exact_key;
     uint64_t epoch = 0;
     std::shared_ptr<const std::vector<uint32_t>> answers;
     std::list<std::string>::iterator lru_it;  ///< position in lru_

@@ -79,7 +79,7 @@ struct PruneDecision {
 /// feature-id lists and their rq-element spans in one contiguous pool per
 /// bound, plus per-rq CSRs for the kRandom selection. Compiled by
 /// PrepareQuery as a pure function of the feature/rq relations, so it rides
-/// along when the relations are shared through the batch cache.
+/// along when the relations are shared through a CompiledQuery.
 struct BoundProgram {
   /// Features with >= 1 sub-rq (f usable as f¹), ascending feature id; set k
   /// covers rq elements usim_elems[usim_offsets[k] .. usim_offsets[k+1]).
@@ -99,10 +99,9 @@ struct BoundProgram {
 
 /// The query-level feature relations PrepareQuery derives from the relaxed
 /// set U — a pure function of (U, PMI feature set), immutable once built.
-/// The batch cache shares these across byte-identical queries (whose cached
-/// U is the same vector, so the relations are identical by construction);
-/// they are order-sensitive in U, so never reuse across merely isomorphic
-/// queries.
+/// A CompiledQuery holds them next to the U they describe. They are
+/// order-sensitive in U, so they are shared only among byte-identical
+/// queries, never merely isomorphic ones.
 struct PreparedQueryRelations {
   size_t universe_size = 0;  ///< |U|
   /// Per feature: rq indices with f ⊆iso rq (f usable as f¹).
@@ -158,8 +157,8 @@ class ProbabilisticPruner {
                     const std::vector<MatchPlan>* rq_plans = nullptr);
 
   /// Adopts relations computed by a previous PrepareQuery over an identical
-  /// relaxed set (the batch cache's exact-duplicate tier) — skips every VF2
-  /// test; prepare_isomorphism_tests() reports 0.
+  /// relaxed set (the query's CompiledQuery) — skips every VF2 test;
+  /// prepare_isomorphism_tests() reports 0.
   void PrepareFromCache(std::shared_ptr<const PreparedQueryRelations> prepared);
 
   /// Shares the current relations for caching (valid after PrepareQuery /
@@ -203,7 +202,7 @@ class ProbabilisticPruner {
 
   const ProbabilisticMatrixIndex* pmi_;
   ProbPrunerOptions options_;
-  /// Immutable once set; shared with the batch cache via SharePrepared().
+  /// Immutable once set; shared with a CompiledQuery via SharePrepared().
   std::shared_ptr<const PreparedQueryRelations> prepared_;
   uint64_t prepare_iso_tests_ = 0;
 };

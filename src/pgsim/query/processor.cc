@@ -3,13 +3,52 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 
 #include "pgsim/common/failpoint.h"
 #include "pgsim/common/fingerprint.h"
 #include "pgsim/common/task_scheduler.h"
-#include "pgsim/query/batch_cache.h"
 
 namespace pgsim {
+
+// QueryBatch's compiled-query cache: GraphExactKey(q) -> CompiledQuery. A
+// byte-identical query compiles to byte-identical contents (relaxation is
+// deterministic and every other field is a function of U), and one batch
+// fixes the QueryOptions and — under its shared serving lock — the index
+// state, so sharing the stored object is bit-identical to recompiling. The
+// first store wins; a duplicate that missed concurrently keeps its own copy.
+class CompiledQueryCache {
+ public:
+  std::shared_ptr<const CompiledQuery> Find(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      ++misses_;
+      return nullptr;
+    }
+    ++hits_;
+    return it->second;
+  }
+
+  void Store(std::string key, std::shared_ptr<const CompiledQuery> compiled) {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.emplace(std::move(key), std::move(compiled));
+  }
+
+  std::pair<size_t, size_t> HitsAndMisses() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return {hits_, misses_};
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<std::string, std::shared_ptr<const CompiledQuery>>
+      entries_;
+  size_t hits_ = 0;
+  size_t misses_ = 0;
+};
 
 namespace {
 
@@ -20,6 +59,14 @@ constexpr uint8_t kVerifyAccept = 2;
 constexpr uint8_t kVerifyCancelled = 3;  ///< stopped at a cancellation point;
                                          ///< job->intervals[k] holds the
                                          ///< anytime [lo, hi]
+
+// A cancellation point: one relaxed load of the job's token. When it fired,
+// marks the job cancelled (its answer set is partial).
+bool CancelledNow(QueryJob* job) {
+  if (job->cancel == nullptr || !job->cancel->IsCancelled()) return false;
+  job->cancelled.store(true, std::memory_order_relaxed);
+  return true;
+}
 
 }  // namespace
 
@@ -238,8 +285,62 @@ void QueryProcessor::CompactLocked() {
 // points.
 // ---------------------------------------------------------------------------
 
+Result<std::shared_ptr<const CompiledQuery>> QueryProcessor::CompileQuery(
+    const Graph& q, const QueryOptions& options, QueryContext* ctx,
+    QueryJob* job) const {
+  QueryStats& local = job->stats;
+  auto compiled = std::make_shared<CompiledQuery>();
+
+  // ---- Relaxation: U = {rq1..rqa}. ----
+  WallTimer relax_timer;
+  PGSIM_RETURN_NOT_OK(GenerateRelaxedQueriesInto(q, options.delta,
+                                                 options.relax,
+                                                 &compiled->relaxed));
+  const std::vector<Graph>& relaxed = compiled->relaxed;
+  local.num_relaxed_queries = relaxed.size();
+  local.relax_seconds = relax_timer.Seconds();
+  if (CancelledNow(job)) return std::shared_ptr<const CompiledQuery>();
+
+  // ---- Relaxed-query match plans and vertex signatures. ----
+  // One compiled MatchPlan per rq, seeded rarest-database-label-first, and
+  // (with the gate on) one QuerySignature per rq: the pattern side of every
+  // exact check, PrepareQuery test and stage-3 candidate of this query.
+  MatchPlanOptions plan_options;
+  plan_options.label_freq = &db_label_freq_;
+  compiled->plans.reserve(relaxed.size());
+  for (const Graph& rq : relaxed) {
+    compiled->plans.push_back(CompileMatchPlan(rq, plan_options));
+  }
+  if (options.use_signatures && sigs_ != nullptr) {
+    compiled->sigs.reserve(relaxed.size());
+    for (const Graph& rq : relaxed) {
+      compiled->sigs.push_back(BuildQuerySignature(rq));
+    }
+  }
+
+  // ---- Stage-1 input: q's feature embedding counts. ----
+  if (options.use_structural_filter && structural_ != nullptr) {
+    WallTimer counting_timer;
+    compiled->counts = structural_->ComputeQueryCounts(
+        q, &local.structural_detail.isomorphism_tests, &ctx->filter_scratch);
+    local.structural_detail.seconds = counting_timer.Seconds();
+    local.structural_seconds = local.structural_detail.seconds;
+  }
+
+  // ---- Stage-2 input: feature/rq relations + bound program. ----
+  if (options.use_probabilistic_pruning && pmi_ != nullptr) {
+    WallTimer prepare_timer;
+    ProbabilisticPruner pruner(pmi_, options.pruner);
+    pruner.PrepareQuery(relaxed, &compiled->plans);
+    compiled->prepared = pruner.SharePrepared();
+    local.prob_seconds = prepare_timer.Seconds();
+  }
+  return std::shared_ptr<const CompiledQuery>(std::move(compiled));
+}
+
 Status QueryProcessor::FrontStagesImpl(const Graph& q,
                                        const QueryOptions& options,
+                                       CompiledQueryCache* cache,
                                        QueryContext* ctx,
                                        QueryJob* job) const {
   const auto& db = *database_;
@@ -279,124 +380,39 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
   // partial state exists; FinishQuery reports it as cancelled and never
   // caches it. The answer-cache probe above deliberately runs first — a hit
   // is exact and effectively free, so even an expired query serves it.
-  const CancelState* cancel = job->cancel;
-  const auto cancelled_now = [&]() {
-    if (cancel == nullptr || !cancel->IsCancelled()) return false;
-    job->cancelled.store(true, std::memory_order_relaxed);
-    return true;
-  };
-  if (cancelled_now()) return Status::OK();
+  if (CancelledNow(job)) return Status::OK();
 
-  // ---- Batch cache probe (canonical + exact keys). ----
-  BatchQueryCache::Lookup cached;
-  if (ctx->cache != nullptr) {
+  // ---- The compiled query: shared by an earlier duplicate, or built. ----
+  std::string exact_key;
+  if (cache != nullptr) {
     WallTimer cache_timer;
-    cached = ctx->cache->Find(q);
+    exact_key = GraphExactKey(q);
+    job->compiled = cache->Find(exact_key);
     local.cache_seconds += cache_timer.Seconds();
+    local.compiled_cache_hit = job->compiled != nullptr;
   }
-
-  // ---- Relaxation: U = {rq1..rqa}. ----
-  // A cache hit substitutes the memoized set (byte-identical to what this
-  // query would generate — see batch_cache.h); a cacheable miss generates
-  // into a shared vector and publishes it for the rest of the batch.
-  WallTimer relax_timer;
-  if (cached.relaxed != nullptr) {
-    local.relax_cache_hit = true;
-    job->relaxed_hold = cached.relaxed;
-    job->relaxed = job->relaxed_hold.get();
-  } else if (cached.cacheable) {
-    auto generated = std::make_shared<std::vector<Graph>>();
-    PGSIM_RETURN_NOT_OK(GenerateRelaxedQueriesInto(q, options.delta,
-                                                   options.relax,
-                                                   generated.get()));
-    job->relaxed_hold = std::move(generated);
-    job->relaxed = job->relaxed_hold.get();
-    ctx->cache->StoreRelaxed(cached, job->relaxed_hold);
-  } else {
-    PGSIM_RETURN_NOT_OK(GenerateRelaxedQueriesInto(q, options.delta,
-                                                   options.relax,
-                                                   &job->relaxed_storage));
-    job->relaxed = &job->relaxed_storage;
+  if (job->compiled == nullptr) {
+    PGSIM_ASSIGN_OR_RETURN(job->compiled, CompileQuery(q, options, ctx, job));
+    if (job->compiled == nullptr) return Status::OK();  // cancelled
+    if (cache != nullptr) cache->Store(std::move(exact_key), job->compiled);
   }
-  const std::vector<Graph>& relaxed = *job->relaxed;
-  local.num_relaxed_queries = relaxed.size();
-  local.relax_seconds = relax_timer.Seconds();
-  if (cancelled_now()) return Status::OK();
-
-  // ---- Relaxed-query match plans. ----
-  // One compiled MatchPlan per rq, seeded rarest-database-label-first,
-  // shared by the filter's exact check, the pruner's PrepareQuery, and
-  // every stage-3 candidate — and reused across byte-identical queries
-  // through the batch cache (a pure function of U + the processor's fixed
-  // label frequencies, so the exact-key tier applies).
-  if (cached.plans != nullptr) {
-    job->plans_hold = cached.plans;
-    job->rq_plans = job->plans_hold.get();
-  } else {
-    MatchPlanOptions plan_options;
-    plan_options.label_freq = &db_label_freq_;
-    job->plans_storage.clear();
-    job->plans_storage.reserve(relaxed.size());
-    for (const Graph& rq : relaxed) {
-      job->plans_storage.push_back(CompileMatchPlan(rq, plan_options));
-    }
-    if (cached.cacheable) {
-      job->plans_hold = std::make_shared<const std::vector<MatchPlan>>(
-          std::move(job->plans_storage));
-      job->plans_storage.clear();
-      job->rq_plans = job->plans_hold.get();
-      ctx->cache->StorePlans(cached, job->plans_hold);
-    } else {
-      job->rq_plans = &job->plans_storage;
-    }
-  }
-
-  // ---- Relaxed-query vertex signatures (the gate's pattern side). ----
-  // One QuerySignature per rq, compiled once per query and reused for every
-  // candidate by the filter exact check and stage 3. A pure function of U's
-  // exact form, so the exact-key cache tier applies (same sharing scheme as
-  // the plans above). job->rq_sigs stays null with signatures off — every
-  // downstream gate keys off that.
-  if (options.use_signatures && sigs_ != nullptr) {
-    if (cached.sigs != nullptr) {
-      job->sigs_hold = cached.sigs;
-      job->rq_sigs = job->sigs_hold.get();
-    } else {
-      job->sigs_storage.clear();
-      job->sigs_storage.reserve(relaxed.size());
-      for (const Graph& rq : relaxed) {
-        job->sigs_storage.push_back(BuildQuerySignature(rq));
-      }
-      if (cached.cacheable) {
-        job->sigs_hold = std::make_shared<const std::vector<QuerySignature>>(
-            std::move(job->sigs_storage));
-        job->sigs_storage.clear();
-        job->rq_sigs = job->sigs_hold.get();
-        ctx->cache->StoreSigs(cached, job->sigs_hold);
-      } else {
-        job->rq_sigs = &job->sigs_storage;
-      }
-    }
-  }
+  const CompiledQuery& cq = *job->compiled;
+  local.num_relaxed_queries = cq.relaxed.size();
+  const bool gated = options.use_signatures && sigs_ != nullptr;
 
   // ---- Stage 1: structural pruning (Theorem 1). ----
   WallTimer structural_timer;
   std::vector<uint32_t>& sc_q = job->structural_candidates;
   if (options.use_structural_filter && structural_ != nullptr) {
-    const QueryFeatureCounts* counts = cached.counts.get();
-    local.counts_cache_hit = counts != nullptr;
-    std::shared_ptr<QueryFeatureCounts> computed;
-    if (cached.cacheable && counts == nullptr) {
-      computed = std::make_shared<QueryFeatureCounts>();
-    }
-    structural_->Filter(q, relaxed, options.delta, &sc_q,
-                        &ctx->filter_scratch, &local.structural_detail, counts,
-                        computed.get(), job->rq_plans,
-                        job->rq_sigs != nullptr ? sigs_ : nullptr,
-                        job->rq_sigs);
-    if (computed != nullptr) {
-      ctx->cache->StoreCounts(cached, std::move(computed));
-    }
+    // CompileQuery's feature counting (zero on a cache hit) joins the
+    // filter's own tests and time.
+    const StructuralFilterStats counting = local.structural_detail;
+    structural_->Filter(q, cq.relaxed, options.delta, &sc_q,
+                        &ctx->filter_scratch, &local.structural_detail,
+                        &cq.counts, nullptr, &cq.plans,
+                        gated ? sigs_ : nullptr, gated ? &cq.sigs : nullptr);
+    local.structural_detail.isomorphism_tests += counting.isomorphism_tests;
+    local.structural_detail.seconds += counting.seconds;
     // The exact check's signature rejections are whole VF2 calls avoided.
     local.sig_pairs_rejected += local.structural_detail.sig_pairs_rejected;
     local.domain_candidates_pruned +=
@@ -408,8 +424,8 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
     }
   }
   local.structural_candidates = sc_q.size();
-  local.structural_seconds = structural_timer.Seconds();
-  if (cancelled_now()) return Status::OK();
+  local.structural_seconds += structural_timer.Seconds();
+  if (CancelledNow(job)) return Status::OK();
 
   // ---- Stage 2: probabilistic pruning (Theorems 3-4). ----
   WallTimer prob_timer;
@@ -417,17 +433,9 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
   std::vector<uint32_t>& to_verify = job->to_verify;
   if (options.use_probabilistic_pruning && pmi_ != nullptr) {
     ProbabilisticPruner pruner(pmi_, options.pruner);
-    if (cached.prepared != nullptr) {
-      local.prepared_cache_hit = true;
-      pruner.PrepareFromCache(cached.prepared);
-    } else {
-      pruner.PrepareQuery(relaxed, job->rq_plans);
-      if (cached.cacheable) {
-        ctx->cache->StorePrepared(cached, pruner.SharePrepared());
-      }
-    }
+    pruner.PrepareFromCache(cq.prepared);
     for (size_t ci = 0; ci < sc_q.size(); ++ci) {
-      if (cancelled_now()) {
+      if (CancelledNow(job)) {
         // The unpruned tail goes to verification anyway: each of those
         // candidates' verify tasks observes the cancel immediately and
         // records the unknown [0, 1] interval, so every structural
@@ -455,7 +463,7 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
     to_verify = sc_q;
   }
   local.verification_candidates = to_verify.size();
-  local.prob_seconds = prob_timer.Seconds();
+  local.prob_seconds += prob_timer.Seconds();
 
   // ---- Stage 3 setup: pre-fork per-candidate RNGs. ----
   // Sequential forks in candidate order pin every candidate's random draws
@@ -472,6 +480,7 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
 
 void QueryProcessor::RunFrontStages(const Graph& q,
                                     const QueryOptions& options,
+                                    CompiledQueryCache* cache,
                                     QueryContext* ctx, QueryJob* job) const {
   job->Clear();
   job->query = &q;
@@ -479,7 +488,7 @@ void QueryProcessor::RunFrontStages(const Graph& q,
   job->cancel_after_draws = ctx->cancel_after_draws;
   job->total_timer.Restart();
   ctx->Reset(options.seed);
-  job->status = FrontStagesImpl(q, options, ctx, job);
+  job->status = FrontStagesImpl(q, options, cache, ctx, job);
   job->verify_timer.Restart();
 }
 
@@ -488,14 +497,15 @@ void QueryProcessor::VerifyCandidate(const QueryOptions& options,
                                      VerifierScratch* scratch) const {
   const auto& db = *database_;
   const uint32_t gi = job->to_verify[k];
-  // Signature gate: present only when FrontStagesImpl compiled rq signatures
+  const CompiledQuery& cq = *job->compiled;
+  // Signature gate: armed exactly when CompileQuery built rq signatures
   // (use_signatures on and an index exists). The gate never changes the
   // similarity events, so verdicts are identical with it on or off.
   SignatureGate gate;
   const SignatureGate* gate_ptr = nullptr;
-  if (job->rq_sigs != nullptr && sigs_ != nullptr) {
+  if (options.use_signatures && sigs_ != nullptr) {
     gate.target = sigs_->ForGraph(gi);
-    gate.rq = job->rq_sigs;
+    gate.rq = &cq.sigs;
     gate_ptr = &gate;
   }
   const auto accumulate_gate_counters = [job, scratch] {
@@ -516,8 +526,7 @@ void QueryProcessor::VerifyCandidate(const QueryOptions& options,
       return;
     }
     const Result<double> ssp = ExactSubgraphSimilarityProbability(
-        db[gi], *job->relaxed, options.verifier, scratch, job->rq_plans,
-        gate_ptr);
+        db[gi], cq.relaxed, options.verifier, scratch, &cq.plans, gate_ptr);
     accumulate_gate_counters();
     if (!ssp.ok()) {
       job->verdicts[k] = kVerifyFailed;
@@ -531,8 +540,8 @@ void QueryProcessor::VerifyCandidate(const QueryOptions& options,
   control.cancel = job->cancel;
   control.cancel_after_draws = job->cancel_after_draws;
   const Result<SampleOutcome> out = SampleSubgraphSimilarityProbabilityAnytime(
-      db[gi], *job->relaxed, options.verifier, &job->verify_rngs[k], scratch,
-      job->rq_plans, control, gate_ptr);
+      db[gi], cq.relaxed, options.verifier, &job->verify_rngs[k], scratch,
+      &cq.plans, control, gate_ptr);
   accumulate_gate_counters();
   if (!out.ok()) {
     job->verdicts[k] = kVerifyFailed;
@@ -577,15 +586,15 @@ void QueryProcessor::FinishQuery(QueryJob* job) const {
       job->vf2_calls_avoided.load(std::memory_order_relaxed);
   local.verify_seconds = job->verify_timer.Seconds();
   local.total_seconds = job->total_timer.Seconds();
-  // Fill the answer-cache slot this query's probe addressed (no-op on a hit
-  // or an uncacheable probe). The epoch was captured under the serving lock
+  // Fill the answer-cache slot this query's probe addressed (no-op on a
+  // hit). The epoch was captured under the serving lock
   // the answers were computed at, so a concurrent mutation can never store
   // pre-mutation answers under a post-mutation epoch. A cancelled run never
   // stores: its answer set is partial (a degraded interval answer must not
   // be served later as an exact one).
   if (job->status.ok() && job->answer_cache != nullptr &&
       !job->cancelled.load(std::memory_order_relaxed) &&
-      job->answer_probe.cacheable && !job->answer_probe.hit) {
+      !job->answer_probe.hit) {
     job->answer_cache->Store(job->answer_probe, job->answer_epoch,
                              job->answers);
   }
@@ -608,7 +617,7 @@ Result<std::vector<uint32_t>> QueryProcessor::Query(
     QueryStats* stats) const {
   std::shared_lock<std::shared_mutex> lock(live_mu_);
   QueryJob& job = ctx->job;
-  RunFrontStages(q, options, ctx, &job);
+  RunFrontStages(q, options, /*cache=*/nullptr, ctx, &job);
   if (!job.status.ok()) return job.status;
   for (size_t k = 0; k < job.to_verify.size(); ++k) {
     VerifyCandidate(options, &job, k, &ctx->verifier_scratch);
@@ -650,7 +659,6 @@ void QueryProcessor::FrontTask(void* arg, uint32_t worker, uint32_t /*a*/,
     }
   }
   QueryContext* ctx = run->sched->WorkerState<QueryContext>(worker);
-  ctx->cache = run->cache;
   ctx->answer_cache = run->answer_cache;
   ctx->answer_fingerprint = run->answer_fingerprint;
   ctx->answer_epoch = run->answer_epoch;
@@ -659,7 +667,8 @@ void QueryProcessor::FrontTask(void* arg, uint32_t worker, uint32_t /*a*/,
   const double queue_wait =
       run->admitted != nullptr ? run->admitted->Seconds() : 0.0;
   run->front_inflight.fetch_add(1, std::memory_order_relaxed);
-  run->proc->RunFrontStages(*g->query, *run->options, ctx, &g->job);
+  run->proc->RunFrontStages(*g->query, *run->options, run->cache, ctx,
+                            &g->job);
   run->front_inflight.fetch_sub(1, std::memory_order_relaxed);
   // The job captured the cancellation wiring; clear the worker's context so
   // a later query on this worker cannot inherit another query's token.
@@ -743,16 +752,14 @@ std::vector<BatchQueryResult> QueryProcessor::QueryBatch(
     sched = owned.get();
   }
 
-  // One artifact cache for the whole batch (see batch_cache.h): workers
-  // share relaxation sets and feature counts; answers stay bit-identical.
-  std::unique_ptr<BatchQueryCache> cache;
-  if (batch.enable_cache) cache = std::make_unique<BatchQueryCache>();
+  // Byte-identical queries of the batch share one CompiledQuery.
+  CompiledQueryCache cache;
 
   QueryTaskRun run;
   run.proc = this;
   run.options = &options;
   run.sched = sched;
-  run.cache = cache.get();
+  run.cache = &cache;
   run.admitted = &wall_timer;
   // Cross-batch answer cache wiring: fingerprint once per batch, epoch read
   // under the serving lock above (it cannot move until the batch finishes).
@@ -808,20 +815,8 @@ std::vector<BatchQueryResult> QueryProcessor::QueryBatch(
       agg.sum_query_seconds += r.stats.total_seconds;
       agg.cache_seconds += r.stats.cache_seconds;
     }
-    if (cache != nullptr) {
-      const BatchCacheStats cache_stats = cache->stats();
-      agg.relax_cache_hits = cache_stats.relax_hits;
-      agg.relax_cache_misses = cache_stats.relax_misses;
-      agg.counts_cache_hits = cache_stats.counts_hits;
-      agg.counts_cache_misses = cache_stats.counts_misses;
-      agg.prepared_cache_hits = cache_stats.prepared_hits;
-      agg.prepared_cache_misses = cache_stats.prepared_misses;
-      agg.plans_cache_hits = cache_stats.plans_hits;
-      agg.plans_cache_misses = cache_stats.plans_misses;
-      agg.sigs_cache_hits = cache_stats.sigs_hits;
-      agg.sigs_cache_misses = cache_stats.sigs_misses;
-      agg.cache_uncacheable = cache_stats.uncacheable;
-    }
+    std::tie(agg.compiled_cache_hits, agg.compiled_cache_misses) =
+        cache.HitsAndMisses();
     if (batch.answer_cache != nullptr) {
       const AnswerCacheStats after = batch.answer_cache->stats();
       agg.answer_cache_hits = after.hits - answer_before.hits;

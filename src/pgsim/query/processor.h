@@ -6,9 +6,10 @@
 // per-stage statistics (the quantities plotted in Figures 9–13).
 //
 // One execution path runs the pipeline. A query is three steps:
-//   1. RunFrontStages — cache probe -> relaxation -> match plans ->
-//      structural filter -> probabilistic pruning, ending with one RNG
-//      pre-forked per surviving candidate, in candidate order;
+//   1. RunFrontStages — answer-cache probe -> the query's CompiledQuery
+//      (looked up by exact form, or built by CompileQuery) -> structural
+//      filter -> probabilistic pruning, ending with one RNG pre-forked per
+//      surviving candidate, in candidate order;
 //   2. VerifyCandidate, once per candidate;
 //   3. FinishQuery, which merges the verdicts in candidate order.
 // Query() runs the three inline on the caller's QueryContext. QueryBatch and
@@ -46,7 +47,7 @@
 
 namespace pgsim {
 
-class BatchQueryCache;
+class CompiledQueryCache;
 class DurableDatabase;
 class TaskScheduler;
 class QueryProcessor;
@@ -88,12 +89,13 @@ std::string QueryOptionsFingerprint(const QueryOptions& options);
 ///
 /// Counter fields (`database_size` .. `answers`) are deterministic: equal
 /// for the same (query, options, index) regardless of batching, scheduler,
-/// thread count, or cache hits — with one documented exception: on a cache
-/// hit `structural_detail.isomorphism_tests` omits the tests the cache
-/// skipped. `isomorphism_tests` counts VF2 invocations actually executed;
-/// pairs dismissed by the pre-VF2 label-multiset/size guard are not counted
-/// (see StructuralFilterStats), so the value shrank when the guard landed
-/// while every survivor set stayed identical.
+/// thread count, or cache hits — with one documented exception: on a
+/// compiled-query cache hit `structural_detail.isomorphism_tests` omits the
+/// query feature-counting tests the shared CompiledQuery already paid for.
+/// `isomorphism_tests` counts VF2 invocations actually executed; pairs
+/// dismissed by the pre-VF2 label-multiset/size guard are not counted (see
+/// StructuralFilterStats), so the value shrank when the guard landed while
+/// every survivor set stayed identical.
 /// `*_seconds` fields are wall-clock measurements and vary run to run.
 /// On a scheduler (QueryBatch, ServingCore) `verify_seconds` spans
 /// front-stages-end to last-verdict wall clock (candidate tasks may queue
@@ -115,17 +117,16 @@ struct QueryStats {
                                        ///< cancellation point (their anytime
                                        ///< intervals live in QueryJob)
   size_t answers = 0;
-  bool relax_cache_hit = false;   ///< U reused from the batch cache
-  bool counts_cache_hit = false;  ///< feature counts reused from the cache
-  bool prepared_cache_hit = false; ///< pruner relations reused from the cache
+  bool compiled_cache_hit = false; ///< CompiledQuery shared from an earlier
+                                   ///< byte-identical query of the batch
   bool answer_cache_hit = false;   ///< whole answer set served from the
                                    ///< cross-batch AnswerCache (stage
                                    ///< counters below the probe stay 0)
-  double relax_seconds = 0.0;      ///< relaxation stage (≈0 on a cache hit)
+  double relax_seconds = 0.0;      ///< relaxation stage (0 on a cache hit)
   double structural_seconds = 0.0; ///< stage 1 wall clock
   double prob_seconds = 0.0;       ///< stage 2 wall clock
   double verify_seconds = 0.0;     ///< stage 3 wall clock
-  double cache_seconds = 0.0;      ///< canonicalization + cache probe time
+  double cache_seconds = 0.0;      ///< answer + compiled cache probe time
   double queue_wait_seconds = 0.0; ///< admission -> front-stages start
                                    ///< (QueryBatch only)
   double total_seconds = 0.0;      ///< whole pipeline wall clock
@@ -138,6 +139,30 @@ struct QueryStats {
   StructuralFilterStats structural_detail;
 };
 
+/// Everything the pipeline derives from a query before it touches a
+/// database graph: the relaxation set U = {q minus delta edges} (paper
+/// Section 1.2) and what stages 1-3 compile from it. Every field is a pure
+/// function of q's exact form (GraphExactKey), the QueryOptions and the
+/// processor's index state, so QueryBatch shares one instance among
+/// byte-identical queries. Built once by QueryProcessor::CompileQuery and
+/// immutable afterwards; fields a switched-off stage does not use stay
+/// empty.
+struct CompiledQuery {
+  /// U in generation order. The order is part of the contract: set-cover
+  /// ties and the per-candidate verification draws follow it.
+  std::vector<Graph> relaxed;
+  /// One MatchPlan per rq, in U's order, seeded rarest-database-label-first;
+  /// shared by the filter's exact check, PrepareQuery and stage 3.
+  std::vector<MatchPlan> plans;
+  /// One QuerySignature per rq, in U's order, when the signature gate runs.
+  std::vector<QuerySignature> sigs;
+  /// q's feature embedding counts, when the structural filter runs.
+  QueryFeatureCounts counts;
+  /// The feature/rq relations (f ⊆iso rq, rq ⊆iso f) and compiled bound
+  /// program, when probabilistic pruning runs.
+  std::shared_ptr<const PreparedQueryRelations> prepared;
+};
+
 /// Decomposed per-query pipeline state: the unit the task-graph execution
 /// path schedules. One query becomes a front-stages task (relaxation ->
 /// match plans -> structural filter -> probabilistic pruning, which also
@@ -147,24 +172,12 @@ struct QueryStats {
 /// Everything order-sensitive therefore lives here — the job must outlive
 /// the worker that started it — while reusable *scratch* (filter/pruner/
 /// verifier temporaries) stays in the executing worker's QueryContext.
-/// Sequential Query() reuses the job embedded in its QueryContext, so its
-/// steady-state allocation behavior is unchanged.
+/// Sequential Query() reuses the job embedded in its QueryContext.
 struct QueryJob {
   const Graph* query = nullptr;
-
-  /// Relaxation set U: either a cache-shared hold or local storage.
-  std::shared_ptr<const std::vector<Graph>> relaxed_hold;
-  std::vector<Graph> relaxed_storage;
-  const std::vector<Graph>* relaxed = nullptr;
-  /// Compiled per-rq match plans (same sharing scheme).
-  std::shared_ptr<const std::vector<MatchPlan>> plans_hold;
-  std::vector<MatchPlan> plans_storage;
-  const std::vector<MatchPlan>* rq_plans = nullptr;
-  /// Compiled per-rq vertex signatures (same sharing scheme; null when
-  /// signatures are off or the processor has no index).
-  std::shared_ptr<const std::vector<QuerySignature>> sigs_hold;
-  std::vector<QuerySignature> sigs_storage;
-  const std::vector<QuerySignature>* rq_sigs = nullptr;
+  /// The query's compiled form (possibly shared with other queries of the
+  /// batch); null until the front stages compiled or found it.
+  std::shared_ptr<const CompiledQuery> compiled;
 
   std::vector<uint32_t> structural_candidates;  ///< stage 1 output SCq
   std::vector<uint32_t> to_verify;              ///< stage 2 output
@@ -216,15 +229,7 @@ struct QueryJob {
   /// Clears (capacity-preserving) all per-query state.
   void Clear() {
     query = nullptr;
-    relaxed_hold.reset();
-    relaxed_storage.clear();
-    relaxed = nullptr;
-    plans_hold.reset();
-    plans_storage.clear();
-    rq_plans = nullptr;
-    sigs_hold.reset();
-    sigs_storage.clear();
-    rq_sigs = nullptr;
+    compiled.reset();
     structural_candidates.clear();
     to_verify.clear();
     answers.clear();
@@ -257,11 +262,6 @@ struct QueryJob {
 /// A context must not be shared by two queries running concurrently.
 struct QueryContext {
   Rng rng;
-  /// Optional batch-scoped artifact cache (not owned). QueryBatch points
-  /// every worker context at one shared cache; Reset() deliberately leaves
-  /// it attached. Callers wiring it manually must keep QueryOptions fixed
-  /// across all queries probing the same cache (see batch_cache.h).
-  BatchQueryCache* cache = nullptr;
   /// Optional cross-batch answer cache (not owned; see answer_cache.h).
   /// When set, `answer_fingerprint` must point at the QueryOptions
   /// fingerprint of the options being run (QueryOptionsFingerprint) and
@@ -302,7 +302,8 @@ struct QueryTaskRun {
   const QueryProcessor* proc = nullptr;
   const QueryOptions* options = nullptr;
   TaskScheduler* sched = nullptr;
-  BatchQueryCache* cache = nullptr;  ///< batch-scoped artifact cache
+  /// QueryBatch's compiled-query cache (null = every query compiles).
+  CompiledQueryCache* cache = nullptr;
   /// Cross-batch answer cache wiring (see QueryContext).
   AnswerCache* answer_cache = nullptr;
   const std::string* answer_fingerprint = nullptr;
@@ -354,28 +355,24 @@ struct BatchOptions {
   /// scheduler reuses its threads and its per-worker QueryContext scratch
   /// (no per-batch thread spawn or warm-up allocation).
   TaskScheduler* stealer = nullptr;
-  /// Share relaxation sets and per-query feature embedding counts across
-  /// the batch through a BatchQueryCache keyed by canonical query form.
-  /// Answers are bit-identical with the cache on or off (see batch_cache.h
-  /// for the proof sketch); disable only to measure the cold path.
-  bool enable_cache = true;
   /// Caller-owned cross-batch answer cache (not owned; must outlive the
   /// call). When set, every query probes it before the pipeline and fills
   /// it after; entries are invalidated exactly by the processor's mutation
   /// epoch (see answer_cache.h). Answers are bit-identical with the cache
-  /// on or off. Unlike the batch-scoped cache above it survives across
-  /// QueryBatch calls — that is its point — so a serving loop keeps one
-  /// AnswerCache next to its TaskScheduler.
+  /// on or off. Unlike the batch's own compiled-query cache it survives
+  /// across QueryBatch calls — that is its point — so a serving loop keeps
+  /// one AnswerCache next to its TaskScheduler.
   AnswerCache* answer_cache = nullptr;
 };
 
-/// Aggregated counters over one QueryBatch call. Cache counters come from
-/// the batch's BatchQueryCache (all zero when BatchOptions::enable_cache is
-/// false). Per tier, hits + misses (the probe count) is deterministic; the
-/// hit/miss split is only deterministic at num_threads == 1 — concurrent
-/// workers can both miss on the same class before either store lands, so
-/// parallel batches may report fewer hits than sequential ones. Answers are
-/// unaffected either way (a miss just recomputes the identical artifact).
+/// Aggregated counters over one QueryBatch call. Every QueryBatch shares
+/// CompiledQuery objects among byte-identical queries through a cache keyed
+/// by GraphExactKey; each query that reaches compilation probes it once.
+/// hits + misses (the probe count) is deterministic; the hit/miss split is
+/// only deterministic at num_threads == 1 — concurrent workers can both
+/// miss on the same query before either store lands, so parallel batches
+/// may report fewer hits than sequential ones. Answers are unaffected
+/// either way (a miss just recompiles the identical object).
 /// Scheduler counters (`tasks_*`, `steal_attempts`, `max_queue_depth`,
 /// `overlapped_verify_tasks`, `sum_queue_wait_seconds`) vary run to run
 /// with the steal schedule; `overlapped_verify_tasks` counts verification
@@ -393,17 +390,8 @@ struct BatchStats {
                                       ///< (e.g. over an embedding cap)
   size_t cancelled_candidates = 0;    ///< candidates stopped at a
                                       ///< cancellation point
-  size_t relax_cache_hits = 0;        ///< relaxation sets reused (duplicates)
-  size_t relax_cache_misses = 0;
-  size_t counts_cache_hits = 0;       ///< feature counts reused (iso classes)
-  size_t counts_cache_misses = 0;
-  size_t prepared_cache_hits = 0;     ///< pruner relations reused (duplicates)
-  size_t prepared_cache_misses = 0;
-  size_t plans_cache_hits = 0;        ///< rq match-plan sets reused (dups)
-  size_t plans_cache_misses = 0;
-  size_t sigs_cache_hits = 0;         ///< rq signature sets reused (dups)
-  size_t sigs_cache_misses = 0;
-  size_t cache_uncacheable = 0;       ///< canonical code over budget
+  size_t compiled_cache_hits = 0;     ///< CompiledQuery shared (duplicates)
+  size_t compiled_cache_misses = 0;   ///< CompiledQuery built
   /// Summed per-query signature-gate counters (see QueryStats).
   size_t sig_pairs_rejected = 0;
   size_t domain_candidates_pruned = 0;
@@ -556,13 +544,15 @@ class QueryProcessor {
   static void VerifyTask(void* arg, uint32_t worker, uint32_t a, uint32_t b);
   static void FinishTask(QueryTaskGraph* g);
 
-  /// Stage 0–2 of the decomposed pipeline: cache probe, relaxation, match
-  /// plans, structural filter, probabilistic pruning, and the sequential
-  /// pre-fork of per-candidate verification RNGs. Fills `*job`; on return
+  /// Stage 0–2 of the decomposed pipeline: answer-cache probe, the
+  /// query's CompiledQuery (from `cache` when non-null, else compiled),
+  /// structural filter, probabilistic pruning, and the sequential pre-fork
+  /// of per-candidate verification RNGs. Fills `*job`; on return
   /// job->status reflects any pipeline error, job->to_verify holds the
   /// candidates awaiting VerifyCandidate, and job->verify_timer is running.
   void RunFrontStages(const Graph& q, const QueryOptions& options,
-                      QueryContext* ctx, QueryJob* job) const;
+                      CompiledQueryCache* cache, QueryContext* ctx,
+                      QueryJob* job) const;
 
   /// Verifies candidate `k` of `job` (writes job->verdicts[k]); safe to
   /// call concurrently for distinct `k` with distinct scratches.
@@ -573,8 +563,17 @@ class QueryProcessor {
   void FinishQuery(QueryJob* job) const;
 
   Status FrontStagesImpl(const Graph& q, const QueryOptions& options,
-                         QueryContext* ctx, QueryJob* job) const;
+                         CompiledQueryCache* cache, QueryContext* ctx,
+                         QueryJob* job) const;
 
+  /// Builds q's CompiledQuery. Records in job->stats the relaxation time
+  /// (relax_seconds), the feature-counting time and VF2 tests (stage-1
+  /// timer and structural_detail) and the PrepareQuery time (stage-2
+  /// timer). Returns null when the job's cancellation token fired after
+  /// relaxation: a partial compile is never published.
+  Result<std::shared_ptr<const CompiledQuery>> CompileQuery(
+      const Graph& q, const QueryOptions& options, QueryContext* ctx,
+      QueryJob* job) const;
 
   /// Compact() body; caller holds the unique serving lock.
   void CompactLocked();

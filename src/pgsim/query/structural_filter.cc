@@ -171,11 +171,13 @@ void StructuralFilter::CountQueryFeatures(const Graph& q,
 }
 
 QueryFeatureCounts StructuralFilter::ComputeQueryCounts(
-    const Graph& q, uint64_t* isomorphism_tests) const {
+    const Graph& q, uint64_t* isomorphism_tests,
+    StructuralFilterScratch* scratch) const {
+  StructuralFilterScratch local;
+  if (scratch == nullptr) scratch = &local;
   QueryFeatureCounts counts;
-  std::vector<uint32_t> per_edge;
-  Vf2Scratch vf2;
-  CountQueryFeatures(q, &per_edge, isomorphism_tests, &vf2, &counts);
+  CountQueryFeatures(q, &scratch->per_edge, isomorphism_tests, &scratch->vf2,
+                     &counts);
   return counts;
 }
 
@@ -196,7 +198,8 @@ void StructuralFilter::Filter(const Graph& q, const std::vector<Graph>& relaxed,
 
   // Per-feature thresholds from the query: needed = count_f(q) - delta *
   // maxPerEdge_f(q); only features with needed >= 1 can prune. The counts
-  // either come in precomputed (batch cache hit) or are counted here.
+  // either come in precomputed (the processor's CompiledQuery) or are
+  // counted here.
   const QueryFeatureCounts* counts = precomputed;
   if (counts == nullptr) {
     CountQueryFeatures(q, &scratch->per_edge, &local.isomorphism_tests,

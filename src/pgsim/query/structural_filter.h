@@ -94,11 +94,10 @@ struct StructuralFilterBuildStats {
   uint32_t build_threads = 1;  ///< effective worker count
 };
 
-/// Iso-invariant per-query feature embedding statistics — the expensive half
-/// of Filter(). Every field is invariant under relabeling of q's vertices
-/// (embedding counts and the per-edge maximum are properties of the
-/// isomorphism class), so a BatchQueryCache may reuse one query's counts for
-/// any isomorphic query and still produce bit-identical thresholds.
+/// Per-query feature embedding statistics — the expensive half of Filter(),
+/// computed once per query into its CompiledQuery. Every field is invariant
+/// under relabeling of q's vertices (embedding counts and the per-edge
+/// maximum are properties of the isomorphism class).
 struct QueryFeatureCounts {
   struct Entry {
     uint32_t feature;       ///< feature index into the filter's feature set
@@ -152,8 +151,9 @@ class StructuralFilter {
   /// fills it with SCq, drawing temporaries from `*scratch`.
   ///
   /// `precomputed` short-circuits the per-feature embedding counting with
-  /// counts from a previous (identical or isomorphic) query — the pruning
-  /// thresholds derived from them are bit-identical to a fresh computation.
+  /// counts from ComputeQueryCounts on q (or on any isomorphic query) — the
+  /// pruning thresholds derived from them are bit-identical to a fresh
+  /// computation.
   /// When `computed_counts` is non-null and the counts were computed here,
   /// they are copied out so the caller can cache them.
   ///
@@ -178,11 +178,13 @@ class StructuralFilter {
               const SignatureIndex* sigs = nullptr,
               const std::vector<QuerySignature>* rq_sigs = nullptr) const;
 
-  /// Counts each indexed feature's embeddings in `q` (the iso-invariant
-  /// expensive half of Filter); `isomorphism_tests`, when non-null, is
-  /// incremented per feature tested.
+  /// Counts each indexed feature's embeddings in `q` (the expensive half of
+  /// Filter, which takes the result as `precomputed`); `isomorphism_tests`,
+  /// when non-null, is incremented per feature tested. Matcher temporaries
+  /// come from `scratch` when non-null.
   QueryFeatureCounts ComputeQueryCounts(
-      const Graph& q, uint64_t* isomorphism_tests = nullptr) const;
+      const Graph& q, uint64_t* isomorphism_tests = nullptr,
+      StructuralFilterScratch* scratch = nullptr) const;
 
   /// Number of graph columns, INCLUDING tombstoned ones (the valid graph-id
   /// range is [0, num_graphs())).

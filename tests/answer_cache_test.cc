@@ -1,16 +1,18 @@
 // Tests for the cross-batch AnswerCache: probe/store mechanics, exact
 // epoch-based invalidation (mutations can never leak stale answers),
-// exact-key conflicts between isomorphic-but-relabeled queries, LRU
-// eviction, and the QueryProcessor/QueryBatch integration including the
-// BatchStats counter deltas.
+// separate entries for isomorphic-but-relabeled queries, LRU eviction, and
+// the QueryProcessor/QueryBatch/ServingCore integration including the
+// BatchStats counter deltas and highly symmetric queries.
 
 #include <gtest/gtest.h>
 
 #include "pgsim/datasets/synthetic.h"
+#include "pgsim/graph/vf2.h"
 #include "pgsim/index/pmi.h"
 #include "pgsim/query/answer_cache.h"
 #include "pgsim/query/processor.h"
 #include "pgsim/query/structural_filter.h"
+#include "pgsim/serving/serving_core.h"
 
 namespace pgsim {
 namespace {
@@ -32,7 +34,6 @@ TEST(AnswerCacheTest, MissStoreHit) {
   const std::string fp = "options-v1";
 
   AnswerCache::Probe probe = cache.Find(q, fp, /*epoch=*/0);
-  EXPECT_TRUE(probe.cacheable);
   EXPECT_FALSE(probe.hit);
   EXPECT_EQ(cache.stats().misses, 1u);
 
@@ -66,23 +67,31 @@ TEST(AnswerCacheTest, EpochMismatchDropsEntry) {
   EXPECT_EQ(cache.stats().stale, 1u);
 }
 
-TEST(AnswerCacheTest, ExactKeyConflictIsNeverServed) {
-  // Same isomorphism class (one canonical slot), different vertex order:
-  // sampled verdicts may differ, so the hit must be refused and counted.
+TEST(AnswerCacheTest, IsomorphicRelabelingKeepsItsOwnEntry) {
+  // Same isomorphism class, different vertex order: sampled verdicts may
+  // differ, so a relabeling is never served its sibling's answers — and
+  // storing it must not evict the sibling either.
   AnswerCache cache;
   const Graph q1 = Triangle(0, 1, 2);
   const Graph q2 = Triangle(2, 1, 0);  // isomorphic, different labeling
-  AnswerCache::Probe p1 = cache.Find(q1, "fp", 0);
-  ASSERT_TRUE(p1.cacheable);
+  ASSERT_TRUE(AreIsomorphic(q1, q2));
+  const AnswerCache::Probe p1 = cache.Find(q1, "fp", 0);
   cache.Store(p1, 0, {4});
 
   const AnswerCache::Probe p2 = cache.Find(q2, "fp", 0);
-  ASSERT_EQ(p2.key, p1.key);  // same canonical bucket...
-  EXPECT_NE(p2.exact_key, p1.exact_key);
-  EXPECT_FALSE(p2.hit);  // ...but never served across exact keys
-  EXPECT_EQ(cache.stats().conflicts, 1u);
-  // The original entry survives a conflict; its own query still hits.
-  EXPECT_TRUE(cache.Find(q1, "fp", 0).hit);
+  EXPECT_FALSE(p2.hit);
+  EXPECT_NE(p2.key, p1.key);
+  cache.Store(p2, 0, {5});
+  EXPECT_EQ(cache.size(), 2u);
+
+  const AnswerCache::Probe again1 = cache.Find(q1, "fp", 0);
+  ASSERT_TRUE(again1.hit);
+  EXPECT_EQ(*again1.answers, (std::vector<uint32_t>{4}));
+  const AnswerCache::Probe again2 = cache.Find(q2, "fp", 0);
+  ASSERT_TRUE(again2.hit);
+  EXPECT_EQ(*again2.answers, (std::vector<uint32_t>{5}));
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(AnswerCacheTest, LruEviction) {
@@ -266,6 +275,64 @@ TEST(AnswerCacheBatchTest, CacheOffIsUnchangedBehavior) {
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     EXPECT_EQ(warm[qi].answers, cold[qi].answers) << "query " << qi;
   }
+}
+
+TEST(AnswerCacheBatchTest, SymmetricQueryIsCachedInBatchAndServing) {
+  // A single-label cycle has a huge automorphism group — the worst case for
+  // a canonical-form key. The exact key is linear in its size, so the query
+  // caches like any other: the second batch and the repeated Submit are
+  // answered from the cache.
+  BatchSetup s = BuildBatchSetup(8027, 6);
+  QueryProcessor processor(&s.db, &s.pmi, &s.filter);
+  const Graph& source = s.db[0].certain();
+  ASSERT_GT(source.NumEdges(), 0u);
+  const LabelId vertex_label = source.VertexLabel(0);
+  const LabelId edge_label = source.Edges()[0].label;
+  GraphBuilder builder;
+  constexpr uint32_t kCycle = 16;
+  for (uint32_t v = 0; v < kCycle; ++v) builder.AddVertex(vertex_label);
+  for (uint32_t v = 0; v < kCycle; ++v) {
+    ASSERT_TRUE(builder.AddEdge(v, (v + 1) % kCycle, edge_label).ok());
+  }
+  const Graph cycle = builder.Build();
+
+  QueryOptions options;
+  options.delta = 1;
+  options.epsilon = 0.3;
+  AnswerCache batch_cache;
+  BatchOptions batch;
+  batch.num_threads = 1;
+  batch.answer_cache = &batch_cache;
+  BatchStats stats1;
+  const auto run1 = processor.QueryBatch({cycle}, options, batch, &stats1);
+  ASSERT_TRUE(run1[0].status.ok());
+  EXPECT_EQ(stats1.answer_cache_misses, 1u);
+  EXPECT_EQ(batch_cache.size(), 1u);  // cacheable: the answer was stored
+  BatchStats stats2;
+  const auto run2 = processor.QueryBatch({cycle}, options, batch, &stats2);
+  ASSERT_TRUE(run2[0].status.ok());
+  EXPECT_EQ(stats2.answer_cache_hits, 1u);
+  EXPECT_TRUE(run2[0].stats.answer_cache_hit);
+  EXPECT_EQ(run2[0].answers, run1[0].answers);
+
+  AnswerCache serving_cache;
+  ServingOptions so;
+  so.num_threads = 1;
+  so.query = options;
+  so.answer_cache = &serving_cache;
+  ServingCore core(&processor, so);
+  QueryTicket t1 = core.Submit(cycle);
+  const ServeResult& r1 = t1.Wait();
+  ASSERT_TRUE(r1.status.ok());
+  EXPECT_FALSE(r1.stats.answer_cache_hit);
+  EXPECT_EQ(r1.answers, run1[0].answers);
+  QueryTicket t2 = core.Submit(cycle);
+  const ServeResult& r2 = t2.Wait();
+  ASSERT_TRUE(r2.status.ok());
+  EXPECT_TRUE(r2.stats.answer_cache_hit);
+  EXPECT_EQ(r2.answers, r1.answers);
+  core.Shutdown();
+  EXPECT_EQ(core.stats().answer_cache_hits, 1u);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
-// Correctness of the batch-scoped query cache: a batch with duplicated and
-// isomorphic queries must answer bit-identically with the cache on or off
-// (at any thread count), and BatchStats must expose the hit/miss counters.
+// Correctness of QueryBatch's compiled-query cache: byte-identical queries
+// share one CompiledQuery, isomorphic relabelings compile their own, every
+// query answers as a sequential Query() does at any width, and BatchStats
+// exposes the hit/miss counters.
 
 #include <gtest/gtest.h>
 
 #include "pgsim/datasets/synthetic.h"
-#include "pgsim/graph/canonical.h"
+#include "pgsim/graph/vf2.h"
 #include "pgsim/index/pmi.h"
-#include "pgsim/query/batch_cache.h"
 #include "pgsim/query/processor.h"
 #include "pgsim/query/structural_filter.h"
 
@@ -84,48 +84,51 @@ std::vector<Graph> MakeRepetitiveBatch(const Pipeline& p, uint64_t seed) {
   return queries;
 }
 
-TEST(BatchCacheTest, CachedBatchMatchesUncachedAtAnyThreadCount) {
+TEST(BatchCacheTest, BatchMatchesSequentialQueryAtAnyWidth) {
   const Pipeline p = MakePipeline(3101);
   const QueryProcessor processor(&p.db, &p.pmi, &p.filter);
   const std::vector<Graph> queries = MakeRepetitiveBatch(p, 3102);
   const QueryOptions options = FastOptions();
 
-  BatchOptions uncached;
-  uncached.num_threads = 1;
-  uncached.enable_cache = false;
-  BatchStats uncached_stats;
-  const auto baseline =
-      processor.QueryBatch(queries, options, uncached, &uncached_stats);
-  EXPECT_EQ(uncached_stats.relax_cache_hits + uncached_stats.relax_cache_misses,
-            0u);
+  std::vector<std::vector<uint32_t>> expected;
+  std::vector<QueryStats> expected_stats;
+  for (const Graph& q : queries) {
+    QueryStats stats;
+    const auto answers = processor.Query(q, options, &stats);
+    ASSERT_TRUE(answers.ok());
+    expected.push_back(*answers);
+    expected_stats.push_back(stats);
+  }
 
   for (uint32_t threads : {1u, 2u, 4u}) {
-    BatchOptions cached;
-    cached.num_threads = threads;
-    cached.enable_cache = true;
+    BatchOptions batch;
+    batch.num_threads = threads;
     BatchStats stats;
-    const auto results = processor.QueryBatch(queries, options, cached, &stats);
-    ASSERT_EQ(results.size(), baseline.size());
+    const auto results = processor.QueryBatch(queries, options, batch, &stats);
+    ASSERT_EQ(results.size(), queries.size());
     for (size_t i = 0; i < results.size(); ++i) {
       ASSERT_TRUE(results[i].status.ok()) << "threads=" << threads;
-      EXPECT_EQ(results[i].answers, baseline[i].answers)
+      EXPECT_EQ(results[i].answers, expected[i])
           << "query " << i << " threads=" << threads;
-      // Deterministic pipeline counters are cache-invariant too.
+      // Deterministic pipeline counters do not depend on sharing either.
+      EXPECT_EQ(results[i].stats.num_relaxed_queries,
+                expected_stats[i].num_relaxed_queries);
       EXPECT_EQ(results[i].stats.structural_candidates,
-                baseline[i].stats.structural_candidates);
+                expected_stats[i].structural_candidates);
+      EXPECT_EQ(results[i].stats.pruned_by_upper,
+                expected_stats[i].pruned_by_upper);
+      EXPECT_EQ(results[i].stats.accepted_by_lower,
+                expected_stats[i].accepted_by_lower);
       EXPECT_EQ(results[i].stats.verification_candidates,
-                baseline[i].stats.verification_candidates);
-      EXPECT_EQ(results[i].stats.answers, baseline[i].stats.answers);
+                expected_stats[i].verification_candidates);
+      EXPECT_EQ(results[i].stats.answers, expected_stats[i].answers);
     }
-    // The probe count (hits + misses) is deterministic even in parallel —
-    // every cacheable query probes each tier exactly once; the hit/miss
-    // split can shift with thread scheduling, so it is pinned only in the
-    // single-thread test below.
-    EXPECT_EQ(stats.relax_cache_hits + stats.relax_cache_misses,
-              queries.size());
-    EXPECT_EQ(stats.counts_cache_hits + stats.counts_cache_misses,
-              queries.size());
-    EXPECT_EQ(stats.cache_uncacheable, 0u);
+    // Every query probes once, so the probe count is deterministic even in
+    // parallel; the hit/miss split can shift with thread scheduling, so it
+    // is pinned only in the single-thread test below.
+    EXPECT_EQ(stats.compiled_cache_hits + stats.compiled_cache_misses,
+              queries.size())
+        << "threads=" << threads;
   }
 }
 
@@ -133,13 +136,11 @@ TEST(BatchCacheTest, SingleThreadHitCountersAreExact) {
   const Pipeline p = MakePipeline(3201);
   const QueryProcessor processor(&p.db, &p.pmi, &p.filter);
   const std::vector<Graph> queries = MakeRepetitiveBatch(p, 3202);
-  // Sanity: the reversed copies must be genuine new exact forms.
+  // Sanity: the reversed copies are isomorphic but new exact forms.
   ASSERT_NE(GraphExactKey(queries[5]), GraphExactKey(queries[0]));
-  ASSERT_EQ(CanonicalCode(queries[5]).value(),
-            CanonicalCode(queries[0]).value());
+  ASSERT_TRUE(AreIsomorphic(queries[5], queries[0]));
   ASSERT_NE(GraphExactKey(queries[7]), GraphExactKey(queries[1]));
-  ASSERT_EQ(CanonicalCode(queries[7]).value(),
-            CanonicalCode(queries[1]).value());
+  ASSERT_TRUE(AreIsomorphic(queries[7], queries[1]));
 
   BatchOptions batch;
   batch.num_threads = 1;
@@ -148,33 +149,20 @@ TEST(BatchCacheTest, SingleThreadHitCountersAreExact) {
       processor.QueryBatch(queries, FastOptions(), batch, &stats);
 
   // [q0, q1, q2, q0(dup), q1(dup), q0(iso), q2(dup), q1(iso)] in order:
-  // the relax and pruner-relation tiers hit on exact duplicates only
-  // (3, 4, 6); the counts tier additionally hits the isomorphic
-  // relabelings (5, 7).
-  EXPECT_EQ(stats.relax_cache_hits, 3u);
-  EXPECT_EQ(stats.relax_cache_misses, 5u);
-  EXPECT_EQ(stats.counts_cache_hits, 5u);
-  EXPECT_EQ(stats.counts_cache_misses, 3u);
-  EXPECT_EQ(stats.prepared_cache_hits, 3u);
-  EXPECT_EQ(stats.prepared_cache_misses, 5u);
-  EXPECT_EQ(stats.cache_uncacheable, 0u);
-
-  const std::vector<bool> expect_relax_hit{false, false, false, true,
-                                           true,  false, true,  false};
-  const std::vector<bool> expect_counts_hit{false, false, false, true,
-                                            true,  true,  true,  true};
+  // only the exact duplicates (3, 4, 6) share a compiled query.
+  EXPECT_EQ(stats.compiled_cache_hits, 3u);
+  EXPECT_EQ(stats.compiled_cache_misses, 5u);
+  const std::vector<bool> expect_hit{false, false, false, true,
+                                     true,  false, true,  false};
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(results[i].status.ok());
-    EXPECT_EQ(results[i].stats.relax_cache_hit, expect_relax_hit[i]) << i;
-    EXPECT_EQ(results[i].stats.counts_cache_hit, expect_counts_hit[i]) << i;
-    EXPECT_EQ(results[i].stats.prepared_cache_hit, expect_relax_hit[i]) << i;
+    EXPECT_EQ(results[i].stats.compiled_cache_hit, expect_hit[i]) << i;
   }
 }
 
-TEST(BatchCacheTest, CacheHitSkipsNoAnswersForIsomorphicQueries) {
-  // The iso-class tier must hand back counts whose derived thresholds are
-  // bit-identical: compare a relabeled query's full pipeline run cold vs
-  // after the class is warm.
+TEST(BatchCacheTest, IsomorphicRelabelingMissesAndMatchesColdQuery) {
+  // A relabeling has its own relaxation order, so it must compile its own
+  // query: its run after the original is a full cold run, counters and all.
   const Pipeline p = MakePipeline(3301);
   const QueryProcessor processor(&p.db, &p.pmi, &p.filter);
   Rng rng(3302);
@@ -188,6 +176,7 @@ TEST(BatchCacheTest, CacheHitSkipsNoAnswersForIsomorphicQueries) {
     }
   }
   const Graph iso = ReverseVertexOrder(q);
+  ASSERT_NE(GraphExactKey(iso), GraphExactKey(q));
   const QueryOptions options = FastOptions();
 
   QueryStats cold_stats;
@@ -196,47 +185,23 @@ TEST(BatchCacheTest, CacheHitSkipsNoAnswersForIsomorphicQueries) {
 
   BatchOptions batch;
   batch.num_threads = 1;
+  BatchStats stats;
   const std::vector<Graph> queries{q, iso};
-  const auto results = processor.QueryBatch(queries, options, batch);
+  const auto results = processor.QueryBatch(queries, options, batch, &stats);
   ASSERT_TRUE(results[1].status.ok());
-  EXPECT_TRUE(results[1].stats.counts_cache_hit);
+  EXPECT_FALSE(results[1].stats.compiled_cache_hit);
+  EXPECT_EQ(stats.compiled_cache_hits, 0u);
+  EXPECT_EQ(stats.compiled_cache_misses, 2u);
   EXPECT_EQ(results[1].answers, *cold);
+  EXPECT_EQ(results[1].stats.num_relaxed_queries,
+            cold_stats.num_relaxed_queries);
   EXPECT_EQ(results[1].stats.structural_candidates,
             cold_stats.structural_candidates);
-}
-
-TEST(BatchCacheTest, DirectCacheApiStoresAndFinds) {
-  BatchQueryCache cache;
-  GraphBuilder builder;
-  const VertexId a = builder.AddVertex(0);
-  const VertexId b = builder.AddVertex(1);
-  auto r = builder.AddEdge(a, b, 0);
-  (void)r;
-  const Graph g = builder.Build();
-
-  auto first = cache.Find(g);
-  ASSERT_TRUE(first.cacheable);
-  EXPECT_EQ(first.relaxed, nullptr);
-  EXPECT_EQ(first.counts, nullptr);
-
-  auto relaxed = std::make_shared<std::vector<Graph>>();
-  relaxed->push_back(g);
-  cache.StoreRelaxed(first, relaxed);
-  auto counts = std::make_shared<QueryFeatureCounts>();
-  counts->entries.push_back({0, 2, 1});
-  cache.StoreCounts(first, counts);
-
-  auto second = cache.Find(g);
-  ASSERT_NE(second.relaxed, nullptr);
-  EXPECT_EQ(second.relaxed->size(), 1u);
-  ASSERT_NE(second.counts, nullptr);
-  EXPECT_EQ(second.counts->entries.size(), 1u);
-
-  const BatchCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.relax_hits, 1u);
-  EXPECT_EQ(stats.relax_misses, 1u);
-  EXPECT_EQ(stats.counts_hits, 1u);
-  EXPECT_EQ(stats.counts_misses, 1u);
+  EXPECT_EQ(results[1].stats.verification_candidates,
+            cold_stats.verification_candidates);
+  // A miss pays for its own feature counting: the full test count.
+  EXPECT_EQ(results[1].stats.structural_detail.isomorphism_tests,
+            cold_stats.structural_detail.isomorphism_tests);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 //     overloads) must produce bit-identical PruneDecision streams AND leave
 //     the RNG in the same state as the allocating reference path, for both
 //     BoundSelection x both SipVariant, several delta/epsilon points, and
-//     batch-cache on/off;
+//     duplicated batches whose copies share one compiled query;
 //   * steady state: a second pruning pass over the same candidates performs
 //     no scratch growth (mirrors verifier_engine_test's pool pin).
 
@@ -296,10 +296,11 @@ TEST(ColumnarPrunerTest, SecondPassPerformsNoScratchGrowth) {
   }
 }
 
-TEST(ColumnarPipelineTest, BatchAnswersAndCountersMatchAcrossCacheModes) {
-  // End-to-end: the decision stream feeding stage 3 must be identical with
-  // the batch cache on or off (the cached PreparedQueryRelations carries the
-  // compiled program) — answers and every deterministic counter agree.
+TEST(ColumnarPipelineTest, DuplicatedBatchMatchesSequentialQuery) {
+  // End-to-end: the decision stream feeding stage 3 must be identical when
+  // a query reuses its duplicate's compiled query (the shared
+  // PreparedQueryRelations carries the compiled bound program) — answers
+  // and every deterministic counter agree with a cold sequential Query().
   Fixture fx = MakeFixture(7131, /*num_graphs=*/18);
   const StructuralFilter filter =
       StructuralFilter::Build(fx.certain, fx.pmi.features());
@@ -311,7 +312,7 @@ TEST(ColumnarPipelineTest, BatchAnswersAndCountersMatchAcrossCacheModes) {
                           &qrng);
     if (q.ok()) {
       queries.push_back(*q);
-      queries.push_back(std::move(q).value());  // duplicate: exercise cache
+      queries.push_back(std::move(q).value());  // duplicate: shares compile
     }
   }
   for (const double epsilon : {0.2, 0.5}) {
@@ -320,29 +321,32 @@ TEST(ColumnarPipelineTest, BatchAnswersAndCountersMatchAcrossCacheModes) {
     options.epsilon = epsilon;
     options.verifier.mc.min_samples = 200;
     options.verifier.mc.max_samples = 200;
-    std::vector<BatchQueryResult> reference;
-    for (const bool enable_cache : {false, true}) {
+    std::vector<std::vector<uint32_t>> reference;
+    std::vector<QueryStats> reference_stats;
+    for (const Graph& q : queries) {
+      QueryStats stats;
+      const auto answers = processor.Query(q, options, &stats);
+      ASSERT_TRUE(answers.ok());
+      reference.push_back(*answers);
+      reference_stats.push_back(stats);
+    }
+    for (const uint32_t width : {1u, 4u}) {
       BatchOptions batch;
-      batch.num_threads = 1;
-      batch.enable_cache = enable_cache;
+      batch.num_threads = width;
       const auto results = processor.QueryBatch(queries, options, batch);
-      if (!enable_cache) {
-        reference = results;
-        continue;
-      }
       ASSERT_EQ(results.size(), reference.size());
       for (size_t i = 0; i < results.size(); ++i) {
         ASSERT_TRUE(results[i].status.ok());
-        EXPECT_EQ(results[i].answers, reference[i].answers)
-            << "query " << i << " eps=" << epsilon;
+        EXPECT_EQ(results[i].answers, reference[i])
+            << "query " << i << " eps=" << epsilon << " width=" << width;
         EXPECT_EQ(results[i].stats.structural_candidates,
-                  reference[i].stats.structural_candidates);
+                  reference_stats[i].structural_candidates);
         EXPECT_EQ(results[i].stats.pruned_by_upper,
-                  reference[i].stats.pruned_by_upper);
+                  reference_stats[i].pruned_by_upper);
         EXPECT_EQ(results[i].stats.accepted_by_lower,
-                  reference[i].stats.accepted_by_lower);
+                  reference_stats[i].accepted_by_lower);
         EXPECT_EQ(results[i].stats.verification_candidates,
-                  reference[i].stats.verification_candidates);
+                  reference_stats[i].verification_candidates);
       }
     }
   }

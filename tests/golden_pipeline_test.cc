@@ -5,7 +5,7 @@
 // of batching/caching) cannot silently change results. Every stage is
 // deterministic by construction — seeded RNGs, order-preserving parallel
 // merges — so these values are stable across entry points, scheduler
-// widths and cache modes.
+// widths and batches whose duplicates share one compiled query.
 //
 // If a change legitimately alters them (e.g. a new mining rule), re-pin by
 // rerunning this configuration and updating kGolden* — and say so in the
@@ -93,9 +93,11 @@ TEST(GoldenPipelineTest, FullPipelineAnswersArePinned) {
   // The pinned values must hold through every entry point — inline Query on
   // one reused QueryContext, and the QueryBatch task graph at widths 1 and 4
   // on an owned or a caller-owned TaskScheduler (the steal schedule must not
-  // move an answer) — with the batch cache on or off, and with the signature
-  // gate on or off (its cover test is sound, so skipped matcher calls can
-  // never change an answer or a pinned candidate count).
+  // move an answer) — for the query list as is and for a batch holding
+  // every query twice (the second copy shares the first one's compiled
+  // query), and with the signature gate on or off (its cover test is sound,
+  // so skipped matcher calls can never change an answer or a pinned
+  // candidate count).
   const auto expect_golden = [](size_t i, const std::vector<uint32_t>& answers,
                                 const QueryStats& stats,
                                 const std::string& where) {
@@ -120,26 +122,38 @@ TEST(GoldenPipelineTest, FullPipelineAnswersArePinned) {
       expect_golden(i, *answers, stats, "Query(ctx)" + sig);
     }
 
-    for (const bool enable_cache : {true, false}) {
+    for (const bool duplicated : {false, true}) {
+      // Duplicated layout: [q0, q0, q1, q1, ...]; slot j holds query
+      // j / copies.
+      const size_t copies = duplicated ? 2 : 1;
+      std::vector<Graph> batch_queries;
+      for (const Graph& q : queries) {
+        for (size_t c = 0; c < copies; ++c) batch_queries.push_back(q);
+      }
       for (const uint32_t width : {1u, 4u}) {
         for (const bool caller_owned : {false, true}) {
           TaskScheduler sched(width);
           BatchOptions batch;
-          batch.enable_cache = enable_cache;
           if (caller_owned) {
             batch.stealer = &sched;
           } else {
             batch.num_threads = width;
           }
-          const auto results = processor.QueryBatch(queries, options, batch);
-          ASSERT_EQ(results.size(), GoldenQueries().size());
+          BatchStats batch_stats;
+          const auto results =
+              processor.QueryBatch(batch_queries, options, batch, &batch_stats);
+          ASSERT_EQ(results.size(), batch_queries.size());
+          EXPECT_EQ(batch_stats.compiled_cache_hits +
+                        batch_stats.compiled_cache_misses,
+                    batch_queries.size());
           const std::string where =
               "QueryBatch width=" + std::to_string(width) +
               " caller_owned=" + std::to_string(caller_owned) +
-              " cache=" + std::to_string(enable_cache) + sig;
-          for (size_t i = 0; i < results.size(); ++i) {
-            ASSERT_TRUE(results[i].status.ok()) << "query " << i;
-            expect_golden(i, results[i].answers, results[i].stats, where);
+              " duplicated=" + std::to_string(duplicated) + sig;
+          for (size_t j = 0; j < results.size(); ++j) {
+            ASSERT_TRUE(results[j].status.ok()) << "slot " << j;
+            expect_golden(j / copies, results[j].answers, results[j].stats,
+                          where + " slot=" + std::to_string(j));
           }
         }
       }
