@@ -1,19 +1,17 @@
 // Micro-benchmarks of pgsim's core operations (google-benchmark), including
-// the DESIGN.md ablations: hitting-set vs parallel-graph cut enumeration,
-// and partition vs clique-tree world sampling.
+// the partition vs clique-tree world-sampling ablation. Only library code is
+// measured; the test oracles are not linked here.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <map>
 
-#include "pgsim/bounds/cond_sampler.h"
 #include "pgsim/bounds/embedding_cuts.h"
 #include "pgsim/bounds/max_clique.h"
 #include "pgsim/bounds/sip_bounds.h"
 #include "pgsim/common/thread_pool.h"
 #include "pgsim/datasets/synthetic.h"
-#include "pgsim/graph/mcs.h"
 #include "pgsim/graph/relaxation.h"
 #include "pgsim/graph/signature.h"
 #include "pgsim/graph/vf2.h"
@@ -70,9 +68,7 @@ BENCHMARK(BM_Vf2_AllEmbeddings);
 
 // ---- Compiled matching engine: one pattern against many targets, the
 // verifier/filter access shape. BM_Vf2_Enumerate runs the plan+scratch hot
-// path (plan compiled once, zero steady-state allocation);
-// BM_Vf2_EnumerateReference runs the retained pre-PR recursive engine on
-// the identical workload — the before/after pair recorded in BENCH_5.json.
+// path (plan compiled once, zero steady-state allocation).
 struct Vf2Fixture {
   std::vector<Graph> targets;
   Graph pattern;
@@ -114,23 +110,6 @@ void BM_Vf2_Enumerate(benchmark::State& state) {
       static_cast<double>(total) / std::max<int64_t>(1, state.iterations());
 }
 BENCHMARK(BM_Vf2_Enumerate);
-
-void BM_Vf2_EnumerateReference(benchmark::State& state) {
-  const Vf2Fixture& f = GetVf2Fixture();
-  Vf2Options options;
-  size_t total = 0;
-  for (auto _ : state) {
-    for (const Graph& t : f.targets) {
-      total += EnumerateEmbeddingsReference(
-          f.pattern, t, options, [](const Embedding&) { return true; });
-    }
-  }
-  benchmark::DoNotOptimize(total);
-  state.SetItemsProcessed(int64_t(state.iterations()) * f.targets.size());
-  state.counters["embeddings"] =
-      static_cast<double>(total) / std::max<int64_t>(1, state.iterations());
-}
-BENCHMARK(BM_Vf2_EnumerateReference);
 
 void BM_Vf2_PlanCompile(benchmark::State& state) {
   const Vf2Fixture& f = GetVf2Fixture();
@@ -226,15 +205,6 @@ void BM_Vf2_DomainSeeded(benchmark::State& state) {
 }
 BENCHMARK(BM_Vf2_DomainSeeded)->Arg(0)->Arg(1);
 
-void BM_Mcs_SubgraphDistance(benchmark::State& state) {
-  const ProbabilisticGraph g = MakeBenchGraph(5, 14);
-  const Graph q = MakeQuery(g.certain(), 5, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SubgraphDistance(q, g.certain()));
-  }
-}
-BENCHMARK(BM_Mcs_SubgraphDistance);
-
 void BM_Relaxation_GenerateU(benchmark::State& state) {
   const ProbabilisticGraph g = MakeBenchGraph(7, 20);
   const Graph q =
@@ -270,33 +240,20 @@ void BM_DnfExact_Partition(benchmark::State& state) {
   const Graph q = MakeQuery(g.certain(), 4, 14);
   const auto relaxed = GenerateRelaxedQueries(q, 1).value();
   VerifierOptions options;
-  const auto events = CollectSimilarityEvents(g, relaxed, options).value();
+  VerifierScratch scratch;
+  if (!CollectSimilarityEvents(g, relaxed, options, &scratch).ok()) {
+    state.SkipWithError("event collection failed");
+    return;
+  }
+  std::vector<EdgeBitset> events(scratch.events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    events[i].AssignWords(scratch.events.Row(i), g.NumEdges());
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(ExactDnfProbability(g, events));
   }
 }
 BENCHMARK(BM_DnfExact_Partition);
-
-void BM_CondSampler_Algorithm3(benchmark::State& state) {
-  const ProbabilisticGraph g = MakeBenchGraph(15, 20);
-  const Graph f = MakeQuery(g.certain(), 2, 16);
-  const auto embeddings = EmbeddingEdgeSets(f, g.certain(), 64);
-  EdgeEvent target{embeddings[0], true};
-  std::vector<EdgeEvent> conditioning;
-  for (size_t i = 1; i < embeddings.size() && i < 8; ++i) {
-    conditioning.push_back(EdgeEvent{embeddings[i], true});
-  }
-  MonteCarloParams params;
-  params.min_samples = 500;
-  params.max_samples = 500;
-  Rng rng(17);
-  CondSamplerScratch scratch;  // steady-state: world buffer reused per call
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EstimateConditionalProbability(
-        g, target, conditioning, params, &rng, &scratch));
-  }
-}
-BENCHMARK(BM_CondSampler_Algorithm3);
 
 void BM_Cuts_HittingSet(benchmark::State& state) {
   const ProbabilisticGraph g = MakeBenchGraph(19, 22);
@@ -309,20 +266,6 @@ void BM_Cuts_HittingSet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Cuts_HittingSet);
-
-void BM_Cuts_ParallelGraph(benchmark::State& state) {
-  // Ablation partner of BM_Cuts_HittingSet: Theorem 6's cG formulation
-  // (exponential label-subset search; reference implementation).
-  const ProbabilisticGraph g = MakeBenchGraph(19, 22);
-  const Graph f = MakeQuery(g.certain(), 2, 20);
-  auto embeddings = EmbeddingEdgeSets(f, g.certain(), 512);
-  if (embeddings.size() > 4) embeddings.resize(4);  // keep tractable
-  const ParallelGraph cg = BuildParallelGraph(embeddings);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EnumerateParallelGraphCuts(cg, g.NumEdges(), 4));
-  }
-}
-BENCHMARK(BM_Cuts_ParallelGraph);
 
 void BM_MaxWeightClique(benchmark::State& state) {
   Rng rng(23);
@@ -354,43 +297,65 @@ void BM_SipBounds_Full(benchmark::State& state) {
 }
 BENCHMARK(BM_SipBounds_Full);
 
+// The set-cover and Lsim benches build the columnar views the pruner hands
+// those solvers: set i spans elements[offsets[i] .. offsets[i + 1]).
 void BM_SetCover_Greedy(benchmark::State& state) {
   Rng rng(37);
-  std::vector<WeightedSet> sets;
   const size_t universe = 40;
+  std::vector<uint32_t> ids, elements, offsets{0};
+  std::vector<double> weights;
   for (uint32_t i = 0; i < 120; ++i) {
-    WeightedSet s;
-    s.id = i;
-    s.weight = rng.UniformDouble();
+    ids.push_back(i);
+    weights.push_back(rng.UniformDouble());
     for (uint32_t e = 0; e < universe; ++e) {
-      if (rng.Bernoulli(0.15)) s.elements.push_back(e);
+      if (rng.Bernoulli(0.15)) elements.push_back(e);
     }
-    sets.push_back(std::move(s));
+    offsets.push_back(static_cast<uint32_t>(elements.size()));
   }
+  WeightedSetsView view;
+  view.num_sets = ids.size();
+  view.ids = ids.data();
+  view.weights = weights.data();
+  view.elements = elements.data();
+  view.span_begin = offsets.data();
+  view.span_end = offsets.data() + 1;
+  SetCoverScratch scratch;
+  SetCoverResult result;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GreedyWeightedSetCover(universe, sets));
+    GreedyWeightedSetCover(universe, view, &scratch, &result);
+    benchmark::DoNotOptimize(result.total_weight);
   }
 }
 BENCHMARK(BM_SetCover_Greedy);
 
 void BM_Lsim_QpSolve(benchmark::State& state) {
   Rng seed_rng(41);
-  std::vector<QpWeightedSet> sets;
   const size_t universe = 20;
+  std::vector<uint32_t> ids, elements, offsets{0};
+  std::vector<double> wl, wu;
   for (uint32_t i = 0; i < 40; ++i) {
-    QpWeightedSet s;
-    s.id = i;
-    s.wl = seed_rng.UniformDouble() * 0.4;
-    s.wu = s.wl + seed_rng.UniformDouble() * 0.2;
+    ids.push_back(i);
+    wl.push_back(seed_rng.UniformDouble() * 0.4);
+    wu.push_back(wl.back() + seed_rng.UniformDouble() * 0.2);
     for (uint32_t e = 0; e < universe; ++e) {
-      if (seed_rng.Bernoulli(0.2)) s.elements.push_back(e);
+      if (seed_rng.Bernoulli(0.2)) elements.push_back(e);
     }
-    sets.push_back(std::move(s));
+    offsets.push_back(static_cast<uint32_t>(elements.size()));
   }
+  QpWeightedSetsView view;
+  view.num_sets = ids.size();
+  view.ids = ids.data();
+  view.wl = wl.data();
+  view.wu = wu.data();
+  view.elements = elements.data();
+  view.span_begin = offsets.data();
+  view.span_end = offsets.data() + 1;
+  LsimScratch scratch;
+  LsimResult result;
   Rng rng(43);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SolveTightestLsim(universe, sets, LsimOptions(), &rng));
+    SolveTightestLsim(universe, view, LsimOptions(), &rng, &scratch, &result);
+    benchmark::DoNotOptimize(result.lsim);
   }
 }
 BENCHMARK(BM_Lsim_QpSolve);
@@ -481,11 +446,13 @@ const VerifierFixture& GetVerifierFixture() {
     f->relaxed = GenerateRelaxedQueries(q, 2).value();
     const auto sc_q = f->filter.Filter(q, f->relaxed, 2, nullptr);
     ProbabilisticPruner pruner(&f->pmi, ProbPrunerOptions());
+    PrunerScratch prune_scratch;
     pruner.PrepareQuery(f->relaxed);
     f->verifier.mc.min_samples = 3000;
     f->verifier.mc.max_samples = 3000;
     for (uint32_t gi : sc_q) {
-      if (pruner.Evaluate(gi, 0.15, &rng).outcome != PruneOutcome::kCandidate) {
+      if (pruner.Evaluate(gi, 0.15, &rng, &prune_scratch).outcome !=
+          PruneOutcome::kCandidate) {
         continue;
       }
       // Keep only candidates the sampler can actually verify.

@@ -16,37 +16,4 @@ uint64_t MonteCarloParams::NumSamples() const {
   return std::clamp(rounded, min_samples, max_samples);
 }
 
-double EstimateConditionalProbability(
-    const ProbabilisticGraph& g, const EdgeEvent& target,
-    const std::vector<EdgeEvent>& conditioning, const MonteCarloParams& params,
-    Rng* rng) {
-  CondSamplerScratch scratch;
-  return EstimateConditionalProbability(g, target, conditioning, params, rng,
-                                        &scratch);
-}
-
-double EstimateConditionalProbability(
-    const ProbabilisticGraph& g, const EdgeEvent& target,
-    const std::vector<EdgeEvent>& conditioning, const MonteCarloParams& params,
-    Rng* rng, CondSamplerScratch* scratch) {
-  const uint64_t m = params.NumSamples();
-  uint64_t n1 = 0, n2 = 0;
-  EdgeBitset& world = scratch->world;
-  for (uint64_t i = 0; i < m; ++i) {
-    g.SampleWorldInto(rng, &scratch->sample, &world);
-    bool conditioning_clear = true;
-    for (const EdgeEvent& ev : conditioning) {
-      if (ev.Holds(world)) {
-        conditioning_clear = false;
-        break;
-      }
-    }
-    if (!conditioning_clear) continue;
-    ++n2;
-    if (target.Holds(world)) ++n1;
-  }
-  if (n2 == 0) return 0.0;
-  return static_cast<double>(n1) / static_cast<double>(n2);
-}
-
 }  // namespace pgsim

@@ -1,26 +1,23 @@
-// Algorithm 3: Monte-Carlo estimation of Pr(Bfi | COR).
+// Algorithm 3 vocabulary: edge events and Monte-Carlo sample counts.
 //
 // Events are conjunctions over one edge set: an *embedding event* is true
 // when all of its edges are present in a sampled world; a *cut event* is true
 // when all of its edges are absent (the cut "exists", destroying every
-// embedding). The estimator samples possible worlds and returns
+// embedding). Algorithm 3 samples possible worlds and estimates
 //
-//   n1/n2 = #(target true ∧ all conditioning events false)
-//           / #(all conditioning events false),
+//   Pr(target | conditioning events all false)
+//     = #(target true ∧ all conditioning events false)
+//       / #(all conditioning events false).
 //
-// the paper's estimate of Pr(target | conditioning events all false). The
-// sample count follows the Monte-Carlo bound m = (4 ln(2/ξ)) / τ² cited from
-// [26].
+// ComputeSipBoundsBatch (sip_bounds.h) runs it for every estimate of one
+// graph over a single shared world pool. The sample count follows the
+// Monte-Carlo bound m = (4 ln(2/ξ)) / τ² cited from [26].
 
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "pgsim/common/bitset.h"
-#include "pgsim/common/random.h"
-#include "pgsim/common/status.h"
-#include "pgsim/prob/probabilistic_graph.h"
 
 namespace pgsim {
 
@@ -39,7 +36,7 @@ struct EdgeEvent {
 };
 
 /// Accuracy knobs for every Monte-Carlo routine in the library
-/// (Algorithm 3 here, Algorithm 5 in the verifier).
+/// (Algorithm 3 in the SIP bounds, Algorithm 5 in the verifier).
 struct MonteCarloParams {
   double xi = 0.1;    ///< Confidence parameter ξ in (0, 1).
   double tau = 0.1;   ///< Accuracy parameter τ > 0.
@@ -49,30 +46,5 @@ struct MonteCarloParams {
   /// m = (4 ln(2/ξ)) / τ², clamped to [min_samples, max_samples].
   uint64_t NumSamples() const;
 };
-
-/// Reusable buffers for EstimateConditionalProbability: the sampled-world
-/// bitset plus the clique-tree temporaries behind it. Not concurrency-safe.
-struct CondSamplerScratch {
-  EdgeBitset world;
-  WorldSampleScratch sample;
-};
-
-/// Algorithm 3. Estimates Pr(target | all `conditioning` events false) by
-/// sampling `params.NumSamples()` worlds of `g`. Returns 0 when the
-/// conditioning event was never observed (conservative for both bound
-/// directions: a zero estimate only loosens the bounds).
-double EstimateConditionalProbability(const ProbabilisticGraph& g,
-                                      const EdgeEvent& target,
-                                      const std::vector<EdgeEvent>& conditioning,
-                                      const MonteCarloParams& params, Rng* rng);
-
-/// As above, drawing every temporary from `*scratch` so repeated calls
-/// (bound estimation loops, verification) perform no steady-state heap
-/// allocation. Identical estimates for identical RNG state.
-double EstimateConditionalProbability(const ProbabilisticGraph& g,
-                                      const EdgeEvent& target,
-                                      const std::vector<EdgeEvent>& conditioning,
-                                      const MonteCarloParams& params, Rng* rng,
-                                      CondSamplerScratch* scratch);
 
 }  // namespace pgsim

@@ -4,8 +4,8 @@
 // every embedding of f; minimal cuts are exactly the minimal transversals
 // (hitting sets) of the hypergraph whose hyperedges are the embeddings' edge
 // sets. The enumeration engine here is a minimal-hitting-set search; the
-// paper's parallel-graph construction cG (Theorem 6) is also provided and the
-// equivalence of the two is exercised by tests.
+// paper's parallel-graph construction cG (Theorem 6) is a test oracle under
+// tests/oracles/ that embedding_cuts_test checks it against.
 
 #pragma once
 
@@ -37,31 +37,5 @@ struct CutEnumOptions {
 std::vector<EdgeBitset> EnumerateMinimalEmbeddingCuts(
     const std::vector<EdgeBitset>& embeddings, size_t num_edges,
     const CutEnumOptions& options, bool* truncated = nullptr);
-
-/// The parallel graph cG of Theorem 6 / Figure 8: one s->t line per
-/// embedding whose internal edges carry the original edge ids as labels.
-struct ParallelGraph {
-  /// Node 0 is s, node 1 is t.
-  struct PEdge {
-    uint32_t a;
-    uint32_t b;
-    EdgeId label;  ///< original gc edge id; kInvalidEdge for s/t connectors.
-  };
-  uint32_t num_nodes = 2;
-  std::vector<PEdge> edges;
-};
-
-/// Builds cG from embedding edge lists (each embedding's edges in any fixed
-/// order, as in the paper's random labeling).
-ParallelGraph BuildParallelGraph(const std::vector<EdgeBitset>& embeddings);
-
-/// Reference implementation of Theorem 6: enumerates minimal s-t cuts of cG
-/// expressed as sets of original edge ids (removing an id removes *all* cG
-/// edges carrying it; connector edges are never removable). Exponential in
-/// the number of distinct labels — used by tests and examples to validate
-/// the hitting-set engine, not on hot paths.
-std::vector<EdgeBitset> EnumerateParallelGraphCuts(const ParallelGraph& cg,
-                                                   size_t num_edges,
-                                                   size_t max_cut_size);
 
 }  // namespace pgsim

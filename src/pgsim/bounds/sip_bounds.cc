@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "pgsim/graph/vf2.h"
-#include "pgsim/prob/dnf_exact.h"
 
 namespace pgsim {
 
@@ -205,20 +204,6 @@ std::vector<SipBounds> ComputeSipBoundsBatch(
 SipBounds ComputeSipBounds(const ProbabilisticGraph& g, const Graph& feature,
                            const SipBoundOptions& options, Rng* rng) {
   return ComputeSipBoundsBatch(g, {&feature}, options, rng)[0];
-}
-
-Result<double> ExactSubgraphIsomorphismProbability(const ProbabilisticGraph& g,
-                                                   const Graph& feature,
-                                                   size_t max_embeddings) {
-  bool truncated = false;
-  std::vector<EdgeBitset> embeddings =
-      EmbeddingEdgeSets(feature, g.certain(), max_embeddings, &truncated);
-  if (truncated) {
-    return Status::ResourceExhausted(
-        "ExactSubgraphIsomorphismProbability: embedding cap hit");
-  }
-  if (embeddings.empty()) return 0.0;
-  return ExactDnfProbability(g, embeddings);
 }
 
 }  // namespace pgsim

@@ -22,7 +22,6 @@
 #include "pgsim/bounds/embedding_cuts.h"
 #include "pgsim/bounds/max_clique.h"
 #include "pgsim/common/random.h"
-#include "pgsim/common/status.h"
 #include "pgsim/graph/graph.h"
 #include "pgsim/graph/vf2.h"
 #include "pgsim/prob/probabilistic_graph.h"
@@ -75,11 +74,5 @@ std::vector<SipBounds> ComputeSipBoundsBatch(
     const ProbabilisticGraph& g, const std::vector<const Graph*>& features,
     const SipBoundOptions& options, Rng* rng,
     const std::vector<const MatchPlan*>* feature_plans = nullptr);
-
-/// Exact Pr(f ⊆iso g) (Definition 6 / Equation 10) via the exact DNF engine;
-/// exponential worst case — ground truth for tests and the Exact baseline.
-Result<double> ExactSubgraphIsomorphismProbability(const ProbabilisticGraph& g,
-                                                   const Graph& feature,
-                                                   size_t max_embeddings = 4096);
 
 }  // namespace pgsim

@@ -32,20 +32,19 @@
 //     id order inside a bucket preserves the reference enumeration order.
 //   * Callbacks travel as FunctionRef through a templated core, so the
 //     IsSubgraphIsomorphic existence check inlines its (trivial) callback.
-//     The std::function signatures below are thin compatibility wrappers.
 //
 // Enumeration-order contract: a plan compiled with the default (max-degree)
-// seed rule enumerates embeddings in exactly the order of the retained
-// reference engine (EnumerateEmbeddingsReference), which offline consumers
-// (feature mining's greedy disjoint counts, SIP bounds) depend on for
-// bit-identical artifacts. Plans compiled with MatchPlanOptions::label_freq
-// reorder component seeds rarest-label-first; that changes only the order in
-// which embeddings are discovered, never the set.
+// seed rule enumerates embeddings in exactly the order of the recursive
+// reference engine kept under tests/oracles/ (vf2_engine_test pins it),
+// which offline consumers (feature mining's greedy disjoint counts, SIP
+// bounds) depend on for bit-identical artifacts. Plans compiled with
+// MatchPlanOptions::label_freq reorder component seeds rarest-label-first;
+// that changes only the order in which embeddings are discovered, never the
+// set.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "pgsim/common/bitset.h"
@@ -238,14 +237,6 @@ std::vector<EdgeBitset> EmbeddingEdgeSets(const MatchPlan& plan,
 /// True iff `pattern` is subgraph isomorphic to `target` (q ⊆iso g).
 bool IsSubgraphIsomorphic(const Graph& pattern, const Graph& target);
 
-/// Compatibility wrapper: compiles a default plan, runs it with a local
-/// scratch, and forwards to the std::function callback. Per-call plan
-/// compilation makes this the wrong entry point for per-candidate loops —
-/// compile once and use the plan overload there.
-size_t EnumerateEmbeddings(const Graph& pattern, const Graph& target,
-                           const Vf2Options& options,
-                           const std::function<bool(const Embedding&)>& callback);
-
 /// Convenience: the distinct target-edge sets of all embeddings of `pattern`
 /// in `target`, as bitsets over target edge ids, capped at `max_embeddings`
 /// (0 = uncapped). If `truncated` is non-null it reports whether matches
@@ -259,13 +250,5 @@ std::vector<EdgeBitset> EmbeddingEdgeSets(const Graph& pattern,
 
 /// True iff g1 and g2 are isomorphic (equal sizes + monomorphism suffices).
 bool AreIsomorphic(const Graph& g1, const Graph& g2);
-
-/// The pre-compilation recursive engine, retained verbatim as the reference
-/// implementation: vf2_engine_test pins the compiled matcher's embedding
-/// sets, counts, and (for default plans) enumeration order against it.
-/// Allocates per call; not for hot paths.
-size_t EnumerateEmbeddingsReference(
-    const Graph& pattern, const Graph& target, const Vf2Options& options,
-    const std::function<bool(const Embedding&)>& callback);
 
 }  // namespace pgsim

@@ -14,8 +14,6 @@
 namespace pgsim {
 
 namespace {
-constexpr uint32_t kPmiMagic1 = 0x504d4931;  // "PMI1": pre-epoch format
-constexpr uint32_t kPmiMagic2 = 0x504d4932;  // "PMI2": + epoch/tombstones
 // "PMI3": checksummed sections, atomic install, sip options persisted.
 constexpr uint32_t kPmiMagic3 = 0x504d4933;
 constexpr uint32_t kPmi3Version = 1;
@@ -377,8 +375,8 @@ Status ProbabilisticMatrixIndex::Save(const std::string& path) const {
   WriteDouble(tr, beta_watermark_);
   WriteU64(tr, adds_since_build_);
   WriteU64(tr, removes_since_build_);
-  // Sip options — PMI1/PMI2 lost these across Load; PMI3 persists them so a
-  // recovered server keeps adding graphs with the build-time knobs.
+  // Sip options, persisted so a recovered server keeps adding graphs with
+  // the build-time knobs.
   WriteU64(tr, sip_options_.max_embeddings);
   WriteU64(tr, sip_options_.max_cut_embeddings);
   WriteU64(tr, sip_options_.cuts.max_cuts);
@@ -397,148 +395,103 @@ Status ProbabilisticMatrixIndex::Save(const std::string& path) const {
 
 Result<ProbabilisticMatrixIndex> ProbabilisticMatrixIndex::Load(
     const std::string& path) {
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe) return Status::NotFound("PMI Load: cannot open " + path);
-  PGSIM_ASSIGN_OR_RETURN(const uint32_t magic, ReadU32(probe));
-  if (magic != kPmiMagic1 && magic != kPmiMagic2 && magic != kPmiMagic3) {
-    return Status::InvalidArgument("PMI Load: bad magic in " + path);
+  {
+    std::ifstream probe(path, std::ios::binary);
+    if (!probe) return Status::NotFound("PMI Load: cannot open " + path);
+    // A file too short to hold a magic, or holding any magic but PMI3 (the
+    // retired PMI1/PMI2 stream formats included), is not an index.
+    const Result<uint32_t> magic = ReadU32(probe);
+    if (!magic.ok() || *magic != kPmiMagic3) {
+      return Status::InvalidArgument("PMI Load: not a PMI3 file: " + path);
+    }
   }
-  probe.close();
-
+  PGSIM_ASSIGN_OR_RETURN(SnapshotReader snap,
+                         SnapshotReader::Open(path, kPmiMagic3));
+  if (snap.version() != kPmi3Version) {
+    return Status::InvalidArgument("PMI Load: unsupported PMI3 version " +
+                                   std::to_string(snap.version()));
+  }
+  if (snap.num_sections() != 3) {
+    return Status::DataLoss("PMI Load: expected 3 sections, got " +
+                            std::to_string(snap.num_sections()));
+  }
   ProbabilisticMatrixIndex index;
 
-  // Shared body parsers — the feature and column encodings are identical in
-  // every format version; only the framing around them changed.
-  auto read_features = [&index, &path](std::istream& is,
-                                       uint32_t num_features) -> Status {
-    index.features_.reserve(num_features);
-    for (uint32_t fi = 0; fi < num_features; ++fi) {
-      Feature f;
-      PGSIM_ASSIGN_OR_RETURN(f.graph, ReadGraph(is));
-      PGSIM_ASSIGN_OR_RETURN(const uint32_t support_size, ReadU32(is));
-      f.support.reserve(support_size);
-      for (uint32_t i = 0; i < support_size; ++i) {
-        PGSIM_ASSIGN_OR_RETURN(const uint32_t gi, ReadU32(is));
-        f.support.push_back(gi);
-      }
-      PGSIM_ASSIGN_OR_RETURN(f.frequency, ReadDouble(is));
-      PGSIM_ASSIGN_OR_RETURN(f.discriminative, ReadDouble(is));
-      PGSIM_ASSIGN_OR_RETURN(f.level, ReadU32(is));
-      index.features_.push_back(std::move(f));
+  std::istringstream feat(snap.section(0));
+  PGSIM_ASSIGN_OR_RETURN(const uint32_t num_features, ReadU32(feat));
+  PGSIM_ASSIGN_OR_RETURN(const uint32_t num_graphs, ReadU32(feat));
+  index.features_.reserve(num_features);
+  for (uint32_t fi = 0; fi < num_features; ++fi) {
+    Feature f;
+    PGSIM_ASSIGN_OR_RETURN(f.graph, ReadGraph(feat));
+    PGSIM_ASSIGN_OR_RETURN(const uint32_t support_size, ReadU32(feat));
+    f.support.reserve(support_size);
+    for (uint32_t i = 0; i < support_size; ++i) {
+      PGSIM_ASSIGN_OR_RETURN(const uint32_t gi, ReadU32(feat));
+      f.support.push_back(gi);
     }
-    (void)path;
-    return Status::OK();
-  };
-  auto read_columns =
-      [&path](std::istream& is, uint32_t num_features, uint32_t num_graphs,
-              std::vector<std::vector<PmiEntry>>* columns) -> Status {
-    columns->resize(num_graphs);
-    for (uint32_t gi = 0; gi < num_graphs; ++gi) {
-      PGSIM_ASSIGN_OR_RETURN(const uint32_t column_size, ReadU32(is));
-      auto& column = (*columns)[gi];
-      column.reserve(column_size);
-      for (uint32_t k = 0; k < column_size; ++k) {
-        PmiEntry e;
-        PGSIM_ASSIGN_OR_RETURN(e.feature_id, ReadU32(is));
-        if (e.feature_id >= num_features) {
-          // The columnar rebuild indexes flat matrices by feature id, so a
-          // malformed file must fail here rather than write out of range.
-          return Status::InvalidArgument(
-              "PMI Load: feature id out of range in " + path);
-        }
-        PGSIM_ASSIGN_OR_RETURN(const double lo, ReadDouble(is));
-        PGSIM_ASSIGN_OR_RETURN(const double uo, ReadDouble(is));
-        PGSIM_ASSIGN_OR_RETURN(const double ls, ReadDouble(is));
-        PGSIM_ASSIGN_OR_RETURN(const double us, ReadDouble(is));
-        e.lower_opt = static_cast<float>(lo);
-        e.upper_opt = static_cast<float>(uo);
-        e.lower_simple = static_cast<float>(ls);
-        e.upper_simple = static_cast<float>(us);
-        column.push_back(e);
-      }
-    }
-    return Status::OK();
-  };
-  auto read_alive = [&index, &path](std::istream& is,
-                                    uint32_t num_graphs) -> Status {
-    for (uint32_t gi = 0; gi < num_graphs; ++gi) {
-      const int byte = is.get();
-      if (byte == std::char_traits<char>::eof()) {
-        return Status::DataLoss("PMI Load: truncated alive bytes in " + path);
-      }
-      if (byte == 0) {
-        // The serialized column was already empty; just mark it dead.
-        index.alive_[gi] = 0;
-        --index.num_alive_;
-      }
-    }
-    return Status::OK();
-  };
-
-  if (magic == kPmiMagic3) {
-    PGSIM_ASSIGN_OR_RETURN(SnapshotReader snap,
-                           SnapshotReader::Open(path, kPmiMagic3));
-    if (snap.version() != kPmi3Version) {
-      return Status::InvalidArgument("PMI Load: unsupported PMI3 version " +
-                                     std::to_string(snap.version()));
-    }
-    if (snap.num_sections() != 3) {
-      return Status::DataLoss("PMI Load: expected 3 sections, got " +
-                              std::to_string(snap.num_sections()));
-    }
-    std::istringstream feat(snap.section(0));
-    PGSIM_ASSIGN_OR_RETURN(const uint32_t num_features, ReadU32(feat));
-    PGSIM_ASSIGN_OR_RETURN(const uint32_t num_graphs, ReadU32(feat));
-    PGSIM_RETURN_NOT_OK(read_features(feat, num_features));
-
-    std::istringstream cols(snap.section(1));
-    std::vector<std::vector<PmiEntry>> columns;
-    PGSIM_RETURN_NOT_OK(read_columns(cols, num_features, num_graphs, &columns));
-    index.RebuildFeaturePlans();
-    index.SetColumns(std::move(columns));
-
-    std::istringstream tr(snap.section(2));
-    PGSIM_ASSIGN_OR_RETURN(index.epoch_, ReadU64(tr));
-    PGSIM_RETURN_NOT_OK(read_alive(tr, num_graphs));
-    PGSIM_ASSIGN_OR_RETURN(index.beta_watermark_, ReadDouble(tr));
-    PGSIM_ASSIGN_OR_RETURN(index.adds_since_build_, ReadU64(tr));
-    PGSIM_ASSIGN_OR_RETURN(index.removes_since_build_, ReadU64(tr));
-    SipBoundOptions sip;
-    PGSIM_ASSIGN_OR_RETURN(sip.max_embeddings, ReadU64(tr));
-    PGSIM_ASSIGN_OR_RETURN(sip.max_cut_embeddings, ReadU64(tr));
-    PGSIM_ASSIGN_OR_RETURN(sip.cuts.max_cuts, ReadU64(tr));
-    PGSIM_ASSIGN_OR_RETURN(sip.cuts.max_cut_size, ReadU64(tr));
-    PGSIM_ASSIGN_OR_RETURN(sip.cuts.max_nodes, ReadU64(tr));
-    PGSIM_ASSIGN_OR_RETURN(sip.mc.xi, ReadDouble(tr));
-    PGSIM_ASSIGN_OR_RETURN(sip.mc.tau, ReadDouble(tr));
-    PGSIM_ASSIGN_OR_RETURN(sip.mc.min_samples, ReadU64(tr));
-    PGSIM_ASSIGN_OR_RETURN(sip.mc.max_samples, ReadU64(tr));
-    PGSIM_ASSIGN_OR_RETURN(sip.clique.exact_node_limit, ReadU64(tr));
-    PGSIM_ASSIGN_OR_RETURN(sip.clique.max_bb_nodes, ReadU64(tr));
-    index.sip_options_ = sip;
-  } else {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return Status::NotFound("PMI Load: cannot open " + path);
-    PGSIM_ASSIGN_OR_RETURN(const uint32_t again, ReadU32(is));
-    (void)again;
-    PGSIM_ASSIGN_OR_RETURN(const uint32_t num_features, ReadU32(is));
-    PGSIM_ASSIGN_OR_RETURN(const uint32_t num_graphs, ReadU32(is));
-    PGSIM_RETURN_NOT_OK(read_features(is, num_features));
-    std::vector<std::vector<PmiEntry>> columns;
-    PGSIM_RETURN_NOT_OK(read_columns(is, num_features, num_graphs, &columns));
-    index.RebuildFeaturePlans();
-    index.SetColumns(std::move(columns));
-    if (magic == kPmiMagic2) {
-      PGSIM_ASSIGN_OR_RETURN(index.epoch_, ReadU64(is));
-      PGSIM_RETURN_NOT_OK(read_alive(is, num_graphs));
-      PGSIM_ASSIGN_OR_RETURN(index.beta_watermark_, ReadDouble(is));
-      PGSIM_ASSIGN_OR_RETURN(index.adds_since_build_, ReadU64(is));
-      PGSIM_ASSIGN_OR_RETURN(index.removes_since_build_, ReadU64(is));
-    }
-    // PMI1 files predate epochs: everything alive, epoch 0 (SetColumns set
-    // the alive state already). Neither legacy format carries sip options;
-    // they stay at defaults (callers should re-set them).
+    PGSIM_ASSIGN_OR_RETURN(f.frequency, ReadDouble(feat));
+    PGSIM_ASSIGN_OR_RETURN(f.discriminative, ReadDouble(feat));
+    PGSIM_ASSIGN_OR_RETURN(f.level, ReadU32(feat));
+    index.features_.push_back(std::move(f));
   }
+
+  std::istringstream cols(snap.section(1));
+  std::vector<std::vector<PmiEntry>> columns(num_graphs);
+  for (auto& column : columns) {
+    PGSIM_ASSIGN_OR_RETURN(const uint32_t column_size, ReadU32(cols));
+    column.reserve(column_size);
+    for (uint32_t k = 0; k < column_size; ++k) {
+      PmiEntry e;
+      PGSIM_ASSIGN_OR_RETURN(e.feature_id, ReadU32(cols));
+      if (e.feature_id >= num_features) {
+        // The columnar rebuild indexes flat matrices by feature id, so a
+        // malformed file must fail here rather than write out of range.
+        return Status::InvalidArgument(
+            "PMI Load: feature id out of range in " + path);
+      }
+      PGSIM_ASSIGN_OR_RETURN(const double lo, ReadDouble(cols));
+      PGSIM_ASSIGN_OR_RETURN(const double uo, ReadDouble(cols));
+      PGSIM_ASSIGN_OR_RETURN(const double ls, ReadDouble(cols));
+      PGSIM_ASSIGN_OR_RETURN(const double us, ReadDouble(cols));
+      e.lower_opt = static_cast<float>(lo);
+      e.upper_opt = static_cast<float>(uo);
+      e.lower_simple = static_cast<float>(ls);
+      e.upper_simple = static_cast<float>(us);
+      column.push_back(e);
+    }
+  }
+  index.RebuildFeaturePlans();
+  index.SetColumns(std::move(columns));
+
+  std::istringstream tr(snap.section(2));
+  PGSIM_ASSIGN_OR_RETURN(index.epoch_, ReadU64(tr));
+  for (uint32_t gi = 0; gi < num_graphs; ++gi) {
+    const int byte = tr.get();
+    if (byte == std::char_traits<char>::eof()) {
+      return Status::DataLoss("PMI Load: truncated alive bytes in " + path);
+    }
+    if (byte == 0) {
+      // The serialized column was already empty; just mark it dead.
+      index.alive_[gi] = 0;
+      --index.num_alive_;
+    }
+  }
+  PGSIM_ASSIGN_OR_RETURN(index.beta_watermark_, ReadDouble(tr));
+  PGSIM_ASSIGN_OR_RETURN(index.adds_since_build_, ReadU64(tr));
+  PGSIM_ASSIGN_OR_RETURN(index.removes_since_build_, ReadU64(tr));
+  SipBoundOptions& sip = index.sip_options_;
+  PGSIM_ASSIGN_OR_RETURN(sip.max_embeddings, ReadU64(tr));
+  PGSIM_ASSIGN_OR_RETURN(sip.max_cut_embeddings, ReadU64(tr));
+  PGSIM_ASSIGN_OR_RETURN(sip.cuts.max_cuts, ReadU64(tr));
+  PGSIM_ASSIGN_OR_RETURN(sip.cuts.max_cut_size, ReadU64(tr));
+  PGSIM_ASSIGN_OR_RETURN(sip.cuts.max_nodes, ReadU64(tr));
+  PGSIM_ASSIGN_OR_RETURN(sip.mc.xi, ReadDouble(tr));
+  PGSIM_ASSIGN_OR_RETURN(sip.mc.tau, ReadDouble(tr));
+  PGSIM_ASSIGN_OR_RETURN(sip.mc.min_samples, ReadU64(tr));
+  PGSIM_ASSIGN_OR_RETURN(sip.mc.max_samples, ReadU64(tr));
+  PGSIM_ASSIGN_OR_RETURN(sip.clique.exact_node_limit, ReadU64(tr));
+  PGSIM_ASSIGN_OR_RETURN(sip.clique.max_bb_nodes, ReadU64(tr));
   index.stats_.num_features = index.features_.size();
   index.stats_.size_bytes = index.SizeBytes();
   return index;

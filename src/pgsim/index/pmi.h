@@ -38,8 +38,9 @@
 // materialized from / rebuilt into the columnar storage. Save() writes the
 // checksummed PMI3 container (per-section CRC32C + whole-file footer,
 // atomic temp+rename install); Load() verifies every checksum — corruption
-// is Status::DataLoss, never a silently wrong index — and still accepts the
-// legacy "PMI2" and pre-epoch "PMI1" stream formats.
+// is Status::DataLoss, never a silently wrong index. Load() reads PMI3 only:
+// any other magic, the retired "PMI1"/"PMI2" stream formats included, is
+// Status::InvalidArgument.
 
 #pragma once
 
@@ -190,9 +191,8 @@ class ProbabilisticMatrixIndex {
   const PmiStats& stats() const { return stats_; }
 
   /// SIP-bound options remembered from Build() and reused by AddGraph when
-  /// the caller passes none. PMI3 files persist them, so Load() restores the
-  /// build-time knobs; only legacy PMI1/PMI2 loads reset them to defaults
-  /// (those callers should re-set them before mutating).
+  /// the caller passes none. Save() persists them, so Load() restores the
+  /// build-time knobs.
   const SipBoundOptions& sip_options() const { return sip_options_; }
   void set_sip_options(const SipBoundOptions& sip) { sip_options_ = sip; }
 
@@ -210,10 +210,10 @@ class ProbabilisticMatrixIndex {
   /// files.
   Status Save(const std::string& path) const;
 
-  /// Restores an index saved by Save(); also accepts legacy PMI2 and
-  /// pre-epoch PMI1 files. Any torn, truncated, or bit-flipped PMI3 file is
-  /// rejected with Status::DataLoss (checksums are verified before any
-  /// section is parsed).
+  /// Restores an index saved by Save(). A file too short for a magic, or
+  /// with any magic but PMI3, is Status::InvalidArgument; a PMI3 file torn,
+  /// truncated, or bit-flipped past its magic is Status::DataLoss (checksums
+  /// are verified before any section is parsed).
   static Result<ProbabilisticMatrixIndex> Load(const std::string& path);
 
   /// Incremental maintenance: appends a new graph column in place —

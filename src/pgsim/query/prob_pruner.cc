@@ -122,8 +122,8 @@ void ProbabilisticPruner::PrepareQuery(const std::vector<Graph>& relaxed,
     }
   }
 
-  // Compile the bound program: the candidate-invariant flattened views the
-  // columnar evaluate path executes.
+  // Compile the bound program: the candidate-invariant flattened views
+  // Evaluate executes.
   BoundProgram& bp = prepared->program;
   FlattenNonEmpty(prepared->feature_sub_rqs, &bp.usim_ids, &bp.usim_offsets,
                   &bp.usim_elems);
@@ -142,150 +142,21 @@ void ProbabilisticPruner::PrepareFromCache(
   prepare_iso_tests_ = 0;
 }
 
-PruneDecision ProbabilisticPruner::Bounds(uint32_t graph_id, Rng* rng) const {
-  // Historical contract: prune_epsilon 2.0 makes the Pruning-1 branch fire
+PruneDecision ProbabilisticPruner::Bounds(uint32_t graph_id, Rng* rng,
+                                          PrunerScratch* scratch) const {
+  // Historical contract: prune epsilon 2.0 makes the Pruning-1 branch fire
   // unconditionally (usim <= 1 < 2), so lsim reports 0 and only usim is
   // meaningful — which is all the top-k scheduler consumes. Kept as-is
   // because computing Lsim here would consume extra RNG draws and shift
   // every downstream draw sequence (top-k verification sampling).
-  PruneDecision decision = EvaluateReference(graph_id, 2.0, -1.0, rng);
+  PruneDecision decision = Evaluate(graph_id, 2.0, rng, scratch);
   decision.outcome = PruneOutcome::kCandidate;
   return decision;
-}
-
-PruneDecision ProbabilisticPruner::Bounds(uint32_t graph_id, Rng* rng,
-                                          PrunerScratch* scratch) const {
-  // Same historical contract as the reference overload above.
-  PruneDecision decision = EvaluateColumnar(graph_id, 2.0, -1.0, rng, scratch);
-  decision.outcome = PruneOutcome::kCandidate;
-  return decision;
-}
-
-PruneDecision ProbabilisticPruner::Evaluate(uint32_t graph_id, double epsilon,
-                                            Rng* rng) const {
-  return EvaluateReference(graph_id, epsilon, epsilon, rng);
 }
 
 PruneDecision ProbabilisticPruner::Evaluate(uint32_t graph_id, double epsilon,
                                             Rng* rng,
                                             PrunerScratch* scratch) const {
-  return EvaluateColumnar(graph_id, epsilon, epsilon, rng, scratch);
-}
-
-PruneDecision ProbabilisticPruner::EvaluateReference(uint32_t graph_id,
-                                                     double prune_epsilon,
-                                                     double accept_epsilon,
-                                                     Rng* rng) const {
-  PruneDecision decision;
-  // One Lookup per feature: the fetched entry carries both bound flavors.
-  const auto upper_of = [&](uint32_t feature_id) -> double {
-    PmiEntry e;
-    if (!pmi_->Lookup(graph_id, feature_id, &e)) {
-      return 0.0;  // f not ⊆iso gc: SIP = 0 (paper's <0>)
-    }
-    return options_.sip_variant == SipVariant::kOpt ? e.upper_opt
-                                                    : e.upper_simple;
-  };
-
-  // ---- Pruning 1: Usim(q). ----
-  double usim = 0.0;
-  if (options_.selection == BoundSelection::kOptimized) {
-    std::vector<WeightedSet> sets;
-    sets.reserve(prepared_->feature_sub_rqs.size());
-    for (uint32_t fi = 0; fi < prepared_->feature_sub_rqs.size(); ++fi) {
-      if (prepared_->feature_sub_rqs[fi].empty()) continue;
-      WeightedSet s;
-      s.id = fi;
-      s.elements = prepared_->feature_sub_rqs[fi];
-      s.weight = upper_of(fi);
-      sets.push_back(std::move(s));
-    }
-    const SetCoverResult cover =
-        GreedyWeightedSetCover(prepared_->universe_size, sets);
-    // Uncovered relaxed queries contribute the trivial bound Pr(Brq) <= 1.
-    usim = cover.total_weight + static_cast<double>(cover.num_uncovered);
-  } else {
-    // SSPBound: "for each rqi, we randomly find two features satisfying
-    // conditions in PMI" (Section 6) — take the better of the two picks;
-    // any single qualifying feature gives a valid per-rq bound.
-    for (uint32_t ri = 0; ri < prepared_->universe_size; ++ri) {
-      const auto& candidates = prepared_->rq_sub_features[ri];
-      if (candidates.empty()) {
-        usim += 1.0;
-        continue;
-      }
-      const uint32_t first = candidates[rng->Uniform(candidates.size())];
-      const uint32_t second = candidates[rng->Uniform(candidates.size())];
-      usim += std::min(upper_of(first), upper_of(second));
-    }
-  }
-  decision.usim = std::min(usim, 1.0);
-  if (decision.usim < prune_epsilon) {
-    decision.outcome = PruneOutcome::kPruned;
-    return decision;
-  }
-
-  // ---- Pruning 2: Lsim(q). ----
-  double lsim = 0.0;
-  if (options_.selection == BoundSelection::kOptimized) {
-    std::vector<QpWeightedSet> sets;
-    for (uint32_t fi = 0; fi < prepared_->feature_super_rqs.size(); ++fi) {
-      if (prepared_->feature_super_rqs[fi].empty()) continue;
-      PmiEntry e;
-      if (!pmi_->Lookup(graph_id, fi, &e)) continue;  // SIP = 0: no weight
-      QpWeightedSet s;
-      s.id = fi;
-      s.elements = prepared_->feature_super_rqs[fi];
-      if (options_.sip_variant == SipVariant::kOpt) {
-        s.wl = e.lower_opt;
-        s.wu = e.upper_opt;
-      } else {
-        s.wl = e.lower_simple;
-        s.wu = e.upper_simple;
-      }
-      sets.push_back(std::move(s));
-    }
-    if (!sets.empty()) {
-      const LsimResult r = SolveTightestLsim(prepared_->universe_size, sets,
-                                             options_.lsim, rng);
-      lsim = r.lsim;
-    }
-  } else {
-    // Random f² per rq (SSPBound flavor); duplicates collapse.
-    std::vector<uint32_t> chosen;
-    for (uint32_t ri = 0; ri < prepared_->universe_size; ++ri) {
-      const auto& candidates = prepared_->rq_super_features[ri];
-      if (candidates.empty()) continue;
-      chosen.push_back(candidates[rng->Uniform(candidates.size())]);
-    }
-    std::sort(chosen.begin(), chosen.end());
-    chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
-    double sum_l = 0.0, sum_u = 0.0;
-    for (uint32_t fi : chosen) {
-      PmiEntry e;
-      if (!pmi_->Lookup(graph_id, fi, &e)) continue;
-      if (options_.sip_variant == SipVariant::kOpt) {
-        sum_l += e.lower_opt;
-        sum_u += e.upper_opt;
-      } else {
-        sum_l += e.lower_simple;
-        sum_u += e.upper_simple;
-      }
-    }
-    lsim = std::max(0.0, sum_l - sum_u * sum_u);
-  }
-  decision.lsim = std::max(0.0, std::min(lsim, 1.0));
-  if (accept_epsilon >= 0.0 && decision.lsim >= accept_epsilon) {
-    decision.outcome = PruneOutcome::kAccepted;
-    return decision;
-  }
-  decision.outcome = PruneOutcome::kCandidate;
-  return decision;
-}
-
-PruneDecision ProbabilisticPruner::EvaluateColumnar(
-    uint32_t graph_id, double prune_epsilon, double accept_epsilon, Rng* rng,
-    PrunerScratch* scratch) const {
   PruneDecision decision;
   const BoundProgram& bp = prepared_->program;
   // Graph-major matrices: this candidate's cells are the contiguous block
@@ -299,8 +170,8 @@ PruneDecision ProbabilisticPruner::EvaluateColumnar(
   const float* upper =
       (opt ? pmi_->flat_upper_opt() : pmi_->flat_upper_simple()).data() + base;
   const uint8_t* present = pmi_->flat_present().data() + base;
-  // Absent cells hold 0.0f, matching the reference path's "SIP = 0" default,
-  // so Usim weights gather without a presence branch.
+  // Absent cells hold 0.0f — the paper's "SIP = 0" for f not ⊆iso gc — so
+  // Usim weights gather without a presence branch.
   const auto upper_of = [&](uint32_t feature_id) -> double {
     return upper[feature_id];
   };
@@ -339,7 +210,7 @@ PruneDecision ProbabilisticPruner::EvaluateColumnar(
     }
   }
   decision.usim = std::min(usim, 1.0);
-  if (decision.usim < prune_epsilon) {
+  if (decision.usim < epsilon) {
     decision.outcome = PruneOutcome::kPruned;
     return decision;
   }
@@ -388,14 +259,14 @@ PruneDecision ProbabilisticPruner::EvaluateColumnar(
     chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
     double sum_l = 0.0, sum_u = 0.0;
     for (uint32_t fi : chosen) {
-      // Absent cells are (0, 0): adding them matches the reference skip.
+      // Absent cells are (0, 0): adding them equals skipping them.
       sum_l += lower[fi];
       sum_u += upper[fi];
     }
     lsim = std::max(0.0, sum_l - sum_u * sum_u);
   }
   decision.lsim = std::max(0.0, std::min(lsim, 1.0));
-  if (accept_epsilon >= 0.0 && decision.lsim >= accept_epsilon) {
+  if (epsilon >= 0.0 && decision.lsim >= epsilon) {
     decision.outcome = PruneOutcome::kAccepted;
     return decision;
   }

@@ -15,16 +15,12 @@
 // Orthogonally, SipVariant picks which PMI bound flavor feeds the weights
 // (OPT-SIPBound vs SIPBound, Figure 11).
 //
-// Evaluation has two implementations with bit-identical decisions and RNG
-// draw sequences:
-//   * the reference path (Evaluate/Bounds without a scratch) builds
-//     per-candidate WeightedSet/QpWeightedSet vectors — simple, allocating,
-//     kept as the baseline the equivalence tests compare against;
-//   * the columnar path (Evaluate/Bounds with a PrunerScratch) executes the
-//     "bound program" compiled once per query by PrepareQuery — flattened
-//     qualifying-feature lists and element spans — gathering per-candidate
-//     weights from the PMI's flat feature-major matrices into reusable
-//     scratch. Zero heap allocation per candidate in steady state.
+// Evaluate/Bounds execute the "bound program" compiled once per query by
+// PrepareQuery — flattened qualifying-feature lists and element spans —
+// gathering per-candidate weights from the PMI's flat graph-major matrices
+// into a reusable PrunerScratch: zero heap allocation per candidate in
+// steady state. An allocating per-Lookup oracle with bit-identical decisions
+// and RNG draws lives under tests/oracles/.
 
 #pragma once
 
@@ -75,7 +71,7 @@ struct PruneDecision {
   double lsim = 0.0;
 };
 
-/// The candidate-invariant half of EvaluateImpl, flattened: qualifying
+/// The candidate-invariant half of Evaluate, flattened: qualifying
 /// feature-id lists and their rq-element spans in one contiguous pool per
 /// bound, plus per-rq CSRs for the kRandom selection. Compiled by
 /// PrepareQuery as a pure function of the feature/rq relations, so it rides
@@ -112,11 +108,11 @@ struct PreparedQueryRelations {
   std::vector<std::vector<uint32_t>> rq_sub_features;
   /// Per rq: features usable as f² (inverse of feature_super_rqs).
   std::vector<std::vector<uint32_t>> rq_super_features;
-  /// Columnar compilation of the above for the fast evaluate path.
+  /// Columnar compilation of the above that Evaluate/Bounds execute.
   BoundProgram program;
 };
 
-/// Reusable per-thread scratch for the columnar evaluate path. Vector
+/// Reusable per-thread scratch for Evaluate/Bounds. Vector
 /// capacities survive across candidates, so a steady-state pruning sweep
 /// performs zero heap allocation. Owned by QueryContext; a
 /// default-constructed one works standalone too.
@@ -167,24 +163,15 @@ class ProbabilisticPruner {
     return prepared_;
   }
 
-  /// Applies Pruning 1 and Pruning 2 to one graph column. Short-circuits:
-  /// when Pruning 1 fires, Lsim is not computed (decision.lsim stays 0).
-  /// This overload is the allocating reference implementation.
-  PruneDecision Evaluate(uint32_t graph_id, double epsilon, Rng* rng) const;
-
-  /// Columnar fast path: bit-identical decision and RNG draw sequence to the
-  /// reference overload, drawing all temporaries from `*scratch` (zero
-  /// steady-state allocation per candidate).
+  /// Applies Pruning 1 and Pruning 2 to one graph column, drawing all
+  /// temporaries from `*scratch`. Short-circuits: when Pruning 1 fires, Lsim
+  /// is not computed (decision.lsim stays 0).
   PruneDecision Evaluate(uint32_t graph_id, double epsilon, Rng* rng,
                          PrunerScratch* scratch) const;
 
   /// Usim for ranking (top-k scheduling, diagnostics): the outcome field is
   /// meaningless and lsim reports 0 (see the .cc note on the historical
   /// short-circuit, preserved to keep RNG draw sequences stable).
-  /// Reference path.
-  PruneDecision Bounds(uint32_t graph_id, Rng* rng) const;
-
-  /// Columnar fast path of Bounds (same contract as the Evaluate overload).
   PruneDecision Bounds(uint32_t graph_id, Rng* rng,
                        PrunerScratch* scratch) const;
 
@@ -194,12 +181,6 @@ class ProbabilisticPruner {
   uint64_t prepare_isomorphism_tests() const { return prepare_iso_tests_; }
 
  private:
-  PruneDecision EvaluateReference(uint32_t graph_id, double prune_epsilon,
-                                  double accept_epsilon, Rng* rng) const;
-  PruneDecision EvaluateColumnar(uint32_t graph_id, double prune_epsilon,
-                                 double accept_epsilon, Rng* rng,
-                                 PrunerScratch* scratch) const;
-
   const ProbabilisticMatrixIndex* pmi_;
   ProbPrunerOptions options_;
   /// Immutable once set; shared with a CompiledQuery via SharePrepared().

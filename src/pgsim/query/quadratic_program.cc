@@ -2,31 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 namespace pgsim {
 
-double LsimObjective(const std::vector<QpWeightedSet>& sets,
-                     const std::vector<size_t>& selection) {
-  double sum_l = 0.0, sum_u = 0.0;
-  for (size_t i : selection) {
-    sum_l += sets[i].wl;
-    sum_u += sets[i].wu;
-  }
-  return std::max(0.0, sum_l - sum_u * sum_u);
-}
-
-namespace {
-
-// The solver core both public entry points call. `wl(i)`/`wu(i)`/`id(i)`
-// read set i's weights/id; `elems(i)` returns its element range as a
-// (begin, end) pointer pair. Every accumulation visits sets in index order
-// and elements in span order, so equal inputs produce bit-identical results
-// and identical RNG draw sequences regardless of the backing layout.
-template <typename WlFn, typename WuFn, typename IdFn, typename ElemsFn>
-void LsimCore(size_t universe_size, size_t n, WlFn wl, WuFn wu, IdFn id,
-              ElemsFn elems, const LsimOptions& options, Rng* rng,
-              LsimScratch* s, LsimResult* result) {
+void SolveTightestLsim(size_t universe_size, const QpWeightedSetsView& sets,
+                       const LsimOptions& options, Rng* rng, LsimScratch* s,
+                       LsimResult* result) {
+  // Every accumulation visits sets in index order and elements in span
+  // order, so equal inputs produce bit-identical results and identical RNG
+  // draw sequences.
+  const size_t n = sets.num_sets;
+  const double* wl = sets.wl;
+  const double* wu = sets.wu;
   result->lsim = 0.0;
   result->chosen_ids.clear();
   result->covered = false;
@@ -37,8 +24,9 @@ void LsimCore(size_t universe_size, size_t n, WlFn wl, WuFn wu, IdFn id,
   // within each element's segment, matching push_back insertion order).
   s->elem_offsets.assign(universe_size + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    const auto [begin, end] = elems(i);
-    for (const uint32_t* e = begin; e != end; ++e) {
+    const uint32_t* end = sets.elements + sets.span_end[i];
+    for (const uint32_t* e = sets.elements + sets.span_begin[i]; e != end;
+         ++e) {
       if (*e < universe_size) ++s->elem_offsets[*e + 1];
     }
   }
@@ -48,8 +36,9 @@ void LsimCore(size_t universe_size, size_t n, WlFn wl, WuFn wu, IdFn id,
   s->elem_cursor.assign(s->elem_offsets.begin(), s->elem_offsets.end() - 1);
   s->elem_sets.resize(s->elem_offsets[universe_size]);
   for (size_t i = 0; i < n; ++i) {
-    const auto [begin, end] = elems(i);
-    for (const uint32_t* e = begin; e != end; ++e) {
+    const uint32_t* end = sets.elements + sets.span_end[i];
+    for (const uint32_t* e = sets.elements + sets.span_begin[i]; e != end;
+         ++e) {
       if (*e < universe_size) {
         s->elem_sets[s->elem_cursor[*e]++] = static_cast<uint32_t>(i);
       }
@@ -59,8 +48,8 @@ void LsimCore(size_t universe_size, size_t n, WlFn wl, WuFn wu, IdFn id,
   const auto relaxed_objective = [&](const std::vector<double>& x) {
     double sum_l = 0.0, sum_u = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      sum_l += x[i] * wl(i);
-      sum_u += x[i] * wu(i);
+      sum_l += x[i] * wl[i];
+      sum_u += x[i] * wu[i];
     }
     return sum_l - sum_u * sum_u;
   };
@@ -98,15 +87,15 @@ void LsimCore(size_t universe_size, size_t n, WlFn wl, WuFn wu, IdFn id,
   s->best_x.assign(n, 1.0);
   double best_relaxed = relaxed_objective(s->x);
   double sum_wu_sq = 0.0;
-  for (size_t i = 0; i < n; ++i) sum_wu_sq += wu(i) * wu(i);
+  for (size_t i = 0; i < n; ++i) sum_wu_sq += wu[i] * wu[i];
   const double lipschitz = std::max(1e-9, 2.0 * sum_wu_sq);
   const double step = 1.0 / lipschitz;
 
   for (int it = 0; it < options.gradient_iterations; ++it) {
     double sum_u = 0.0;
-    for (size_t i = 0; i < n; ++i) sum_u += s->x[i] * wu(i);
+    for (size_t i = 0; i < n; ++i) sum_u += s->x[i] * wu[i];
     for (size_t i = 0; i < n; ++i) {
-      const double grad = wl(i) - 2.0 * sum_u * wu(i);
+      const double grad = wl[i] - 2.0 * sum_u * wu[i];
       s->x[i] += step * grad;
     }
     project_feasible(&s->x);
@@ -138,13 +127,13 @@ void LsimCore(size_t universe_size, size_t n, WlFn wl, WuFn wu, IdFn id,
   s->order.resize(n);
   for (size_t i = 0; i < n; ++i) s->order[i] = static_cast<uint32_t>(i);
   std::sort(s->order.begin(), s->order.end(), [&](uint32_t a, uint32_t b) {
-    return wl(a) - wu(a) * wu(a) > wl(b) - wu(b) * wu(b);
+    return wl[a] - wu[a] * wu[a] > wl[b] - wu[b] * wu[b];
   });
   s->greedy.clear();
   double greedy_l = 0.0, greedy_u = 0.0;
   for (uint32_t i : s->order) {
-    const double new_l = greedy_l + wl(i);
-    const double new_u = greedy_u + wu(i);
+    const double new_l = greedy_l + wl[i];
+    const double new_u = greedy_u + wu[i];
     if (new_l - new_u * new_u > greedy_l - greedy_u * greedy_u) {
       s->greedy.push_back(i);
       greedy_l = new_l;
@@ -158,8 +147,8 @@ void LsimCore(size_t universe_size, size_t n, WlFn wl, WuFn wu, IdFn id,
   const auto selection_value = [&](const std::vector<uint32_t>& sel) {
     double sum_l = 0.0, sum_u = 0.0;
     for (uint32_t i : sel) {
-      sum_l += wl(i);
-      sum_u += wu(i);
+      sum_l += wl[i];
+      sum_u += wu[i];
     }
     return std::max(0.0, sum_l - sum_u * sum_u);
   };
@@ -175,7 +164,7 @@ void LsimCore(size_t universe_size, size_t n, WlFn wl, WuFn wu, IdFn id,
   }
   result->lsim = best_value;
   for (uint32_t i : *best_sel) {
-    result->chosen_ids.push_back(id(i));
+    result->chosen_ids.push_back(sets.ids[i]);
   }
 
   // Coverage of the winning selection: an element is coverable iff some set
@@ -185,8 +174,9 @@ void LsimCore(size_t universe_size, size_t n, WlFn wl, WuFn wu, IdFn id,
   s->covered.assign(universe_size, 0);
   for (size_t i = 0; i < n; ++i) {
     if (!s->chosen_mask[i]) continue;
-    const auto [begin, end] = elems(i);
-    for (const uint32_t* e = begin; e != end; ++e) {
+    const uint32_t* end = sets.elements + sets.span_end[i];
+    for (const uint32_t* e = sets.elements + sets.span_begin[i]; e != end;
+         ++e) {
       if (*e < universe_size) s->covered[*e] = 1;
     }
   }
@@ -199,38 +189,6 @@ void LsimCore(size_t universe_size, size_t n, WlFn wl, WuFn wu, IdFn id,
     }
   }
   result->covered = covers;
-}
-
-}  // namespace
-
-LsimResult SolveTightestLsim(size_t universe_size,
-                             const std::vector<QpWeightedSet>& sets,
-                             const LsimOptions& options, Rng* rng) {
-  LsimResult result;
-  LsimScratch scratch;
-  LsimCore(
-      universe_size, sets.size(), [&](size_t i) { return sets[i].wl; },
-      [&](size_t i) { return sets[i].wu; },
-      [&](size_t i) { return sets[i].id; },
-      [&](size_t i) {
-        return std::make_pair(sets[i].elements.data(),
-                              sets[i].elements.data() + sets[i].elements.size());
-      },
-      options, rng, &scratch, &result);
-  return result;
-}
-
-void SolveTightestLsim(size_t universe_size, const QpWeightedSetsView& sets,
-                       const LsimOptions& options, Rng* rng,
-                       LsimScratch* scratch, LsimResult* result) {
-  LsimCore(
-      universe_size, sets.num_sets, [&](size_t i) { return sets.wl[i]; },
-      [&](size_t i) { return sets.wu[i]; }, [&](size_t i) { return sets.ids[i]; },
-      [&](size_t i) {
-        return std::make_pair(sets.elements + sets.span_begin[i],
-                              sets.elements + sets.span_end[i]);
-      },
-      options, rng, scratch, result);
 }
 
 }  // namespace pgsim

@@ -15,10 +15,9 @@
 // probability x*_s. The returned bound is the best of the rounded selection,
 // a deterministic greedy selection, and the best single set — all valid.
 //
-// Two entry points share one solver core (identical floating-point operation
-// order, identical RNG draw sequence): the original vector-of-sets API, and
-// a columnar view + scratch API used by the pruner's allocation-free
-// per-candidate path.
+// Sets arrive as a columnar view over caller-owned arrays, and every buffer
+// comes from a reusable scratch, so the pruner's per-candidate path
+// allocates nothing.
 
 #pragma once
 
@@ -30,16 +29,9 @@
 
 namespace pgsim {
 
-/// One candidate set with pair weights (wL = LowerB(f), wU = UpperB(f)).
-struct QpWeightedSet {
-  uint32_t id = 0;
-  std::vector<uint32_t> elements;
-  double wl = 0.0;
-  double wu = 0.0;
-};
-
-/// Non-owning columnar view: set i has id ids[i], weights (wl[i], wu[i]),
-/// and elements elements[span_begin[i] .. span_end[i]).
+/// Non-owning columnar view: set i has id ids[i], pair weights
+/// (wl[i], wu[i]) = (LowerB(f), UpperB(f)), and elements
+/// elements[span_begin[i] .. span_end[i]).
 struct QpWeightedSetsView {
   size_t num_sets = 0;
   const uint32_t* ids = nullptr;
@@ -58,7 +50,7 @@ struct LsimOptions {
   double rounding_factor = 2.0;
 };
 
-/// Reusable solver buffers for the scratch-taking overload; capacities
+/// Reusable solver buffers for SolveTightestLsim; capacities
 /// survive across calls so a steady-state Lsim loop allocates nothing.
 struct LsimScratch {
   std::vector<uint32_t> elem_offsets;  ///< element -> sets CSR (universe+1)
@@ -83,22 +75,10 @@ struct LsimResult {
   double relaxed_objective = 0.0;    ///< QP(I), an upper bound on Eq. 9
 };
 
-/// Computes the tightest Lsim(q) over the candidate sets.
-LsimResult SolveTightestLsim(size_t universe_size,
-                             const std::vector<QpWeightedSet>& sets,
-                             const LsimOptions& options, Rng* rng);
-
-/// Scratch-taking columnar overload: same solver, same floating-point
-/// operation order, same RNG draw sequence as the vector overload for equal
-/// inputs; reuses `*scratch` and `*result` capacity (allocation-free in
-/// steady state).
+/// Computes the tightest Lsim(q) over the candidate sets. Reuses
+/// `*scratch` and `*result` capacity (allocation-free in steady state).
 void SolveTightestLsim(size_t universe_size, const QpWeightedSetsView& sets,
                        const LsimOptions& options, Rng* rng,
                        LsimScratch* scratch, LsimResult* result);
-
-/// Lsim value of an explicit selection (Definition 11's objective, clamped
-/// at 0). Exposed for tests and for the random-selection SSPBound variant.
-double LsimObjective(const std::vector<QpWeightedSet>& sets,
-                     const std::vector<size_t>& selection);
 
 }  // namespace pgsim

@@ -1,27 +1,18 @@
 #include "pgsim/query/set_cover.h"
 
 #include <limits>
-#include <utility>
 
 namespace pgsim {
 
-namespace {
-
-// The one greedy core both public entry points call. `weight(i)` and `id(i)`
-// read set i's weight/id; `elems(i)` returns its element range as a
-// (begin, end) pointer pair. Identical inputs produce identical selections
-// regardless of the backing layout: the loop visits sets in index order and
-// ties resolve to the lowest index (strict < on gamma).
-template <typename WeightFn, typename IdFn, typename ElemsFn>
-void GreedyCore(size_t universe_size, size_t num_sets, WeightFn weight,
-                IdFn id, ElemsFn elems, std::vector<char>* covered_buf,
-                std::vector<char>* used_buf, SetCoverResult* result) {
+void GreedyWeightedSetCover(size_t universe_size, const WeightedSetsView& sets,
+                            SetCoverScratch* scratch, SetCoverResult* result) {
+  const size_t num_sets = sets.num_sets;
   result->chosen_ids.clear();
   result->total_weight = 0.0;
-  covered_buf->assign(universe_size, 0);
-  used_buf->assign(num_sets, 0);
-  std::vector<char>& covered = *covered_buf;
-  std::vector<char>& used = *used_buf;
+  scratch->covered.assign(universe_size, 0);
+  scratch->used.assign(num_sets, 0);
+  std::vector<char>& covered = scratch->covered;
+  std::vector<char>& used = scratch->used;
   size_t num_covered = 0;
 
   while (num_covered < universe_size) {
@@ -32,12 +23,13 @@ void GreedyCore(size_t universe_size, size_t num_sets, WeightFn weight,
     for (size_t i = 0; i < num_sets; ++i) {
       if (used[i]) continue;
       size_t fresh = 0;
-      const auto [begin, end] = elems(i);
-      for (const uint32_t* e = begin; e != end; ++e) {
+      const uint32_t* end = sets.elements + sets.span_end[i];
+      for (const uint32_t* e = sets.elements + sets.span_begin[i]; e != end;
+           ++e) {
         if (*e < universe_size && !covered[*e]) ++fresh;
       }
       if (fresh == 0) continue;
-      const double gamma = weight(i) / static_cast<double>(fresh);
+      const double gamma = sets.weights[i] / static_cast<double>(fresh);
       if (gamma < best_gamma) {
         best_gamma = gamma;
         best_index = i;
@@ -46,46 +38,17 @@ void GreedyCore(size_t universe_size, size_t num_sets, WeightFn weight,
     }
     if (best_index == num_sets) break;  // nothing adds coverage
     used[best_index] = 1;
-    result->chosen_ids.push_back(id(best_index));
-    result->total_weight += weight(best_index);
+    result->chosen_ids.push_back(sets.ids[best_index]);
+    result->total_weight += sets.weights[best_index];
     num_covered += best_new;
-    const auto [begin, end] = elems(best_index);
-    for (const uint32_t* e = begin; e != end; ++e) {
+    const uint32_t* end = sets.elements + sets.span_end[best_index];
+    for (const uint32_t* e = sets.elements + sets.span_begin[best_index];
+         e != end; ++e) {
       if (*e < universe_size) covered[*e] = 1;
     }
   }
   result->covered = (num_covered == universe_size);
   result->num_uncovered = static_cast<uint32_t>(universe_size - num_covered);
-}
-
-}  // namespace
-
-SetCoverResult GreedyWeightedSetCover(size_t universe_size,
-                                      const std::vector<WeightedSet>& sets) {
-  SetCoverResult result;
-  std::vector<char> covered;
-  std::vector<char> used;
-  GreedyCore(
-      universe_size, sets.size(), [&](size_t i) { return sets[i].weight; },
-      [&](size_t i) { return sets[i].id; },
-      [&](size_t i) {
-        return std::make_pair(sets[i].elements.data(),
-                              sets[i].elements.data() + sets[i].elements.size());
-      },
-      &covered, &used, &result);
-  return result;
-}
-
-void GreedyWeightedSetCover(size_t universe_size, const WeightedSetsView& sets,
-                            SetCoverScratch* scratch, SetCoverResult* result) {
-  GreedyCore(
-      universe_size, sets.num_sets, [&](size_t i) { return sets.weights[i]; },
-      [&](size_t i) { return sets.ids[i]; },
-      [&](size_t i) {
-        return std::make_pair(sets.elements + sets.span_begin[i],
-                              sets.elements + sets.span_end[i]);
-      },
-      &scratch->covered, &scratch->used, result);
 }
 
 }  // namespace pgsim

@@ -6,9 +6,9 @@
 // Usim(q) = sum of chosen weights, an upper bound of Pr(q ⊆sim g)
 // (Theorem 3); the greedy is within ln|U| of the optimum [12].
 //
-// Two entry points share one greedy core (identical selections): the
-// original vector-of-sets API, and a columnar view + scratch API used by the
-// pruner's allocation-free per-candidate path.
+// Sets arrive as a columnar view over caller-owned arrays, and every buffer
+// comes from a reusable scratch, so the pruner's per-candidate path
+// allocates nothing.
 
 #pragma once
 
@@ -17,13 +17,6 @@
 #include <vector>
 
 namespace pgsim {
-
-/// One candidate set with its weight.
-struct WeightedSet {
-  uint32_t id = 0;                  ///< caller's id (e.g. feature id)
-  std::vector<uint32_t> elements;   ///< universe element indices
-  double weight = 0.0;
-};
 
 /// Non-owning columnar view of weighted sets: set i has id ids[i], weight
 /// weights[i], and elements elements[span_begin[i] .. span_end[i]). The
@@ -38,7 +31,7 @@ struct WeightedSetsView {
   const uint32_t* span_end = nullptr;
 };
 
-/// Reusable buffers for the scratch-taking overload; capacities survive
+/// Reusable buffers for GreedyWeightedSetCover; capacities survive
 /// across calls so a steady-state cover loop allocates nothing.
 struct SetCoverScratch {
   std::vector<char> covered;
@@ -54,13 +47,9 @@ struct SetCoverResult {
 };
 
 /// Algorithm 1: repeatedly picks the set minimizing weight / newly-covered
-/// count until the universe is covered or no set adds coverage.
-SetCoverResult GreedyWeightedSetCover(size_t universe_size,
-                                      const std::vector<WeightedSet>& sets);
-
-/// Scratch-taking columnar overload: same greedy, same tie-breaking, same
-/// selection as the vector overload for equal inputs; reuses `*scratch` and
-/// `*result` capacity (allocation-free in steady state).
+/// count until the universe is covered or no set adds coverage. Sets are
+/// visited in index order and ties resolve to the lowest index. Reuses
+/// `*scratch` and `*result` capacity (allocation-free in steady state).
 void GreedyWeightedSetCover(size_t universe_size, const WeightedSetsView& sets,
                             SetCoverScratch* scratch, SetCoverResult* result);
 

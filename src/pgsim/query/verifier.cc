@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "pgsim/graph/mcs.h"
 #include "pgsim/graph/vf2.h"
-#include "pgsim/prob/possible_world.h"
 
 namespace pgsim {
 
@@ -133,18 +131,6 @@ Status CollectSimilarityEvents(const ProbabilisticGraph& g,
   return Status::OK();
 }
 
-Result<std::vector<EdgeBitset>> CollectSimilarityEvents(
-    const ProbabilisticGraph& g, const std::vector<Graph>& relaxed,
-    const VerifierOptions& options) {
-  VerifierScratch scratch;
-  PGSIM_RETURN_NOT_OK(CollectSimilarityEvents(g, relaxed, options, &scratch));
-  std::vector<EdgeBitset> events(scratch.events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    events[i].AssignWords(scratch.events.Row(i), g.NumEdges());
-  }
-  return events;
-}
-
 Result<double> ExactSspFromEvents(const ProbabilisticGraph& g,
                                   const VerifierOptions& options,
                                   VerifierScratch* scratch) {
@@ -156,13 +142,6 @@ Result<double> ExactSspFromEvents(const ProbabilisticGraph& g,
                                          g.NumEdges());
   }
   return ExactDnfProbability(g, scratch->exact_events, options.exact);
-}
-
-Result<double> ExactSspFromEvents(const ProbabilisticGraph& g,
-                                  const std::vector<EdgeBitset>& events,
-                                  const VerifierOptions& options) {
-  if (events.empty()) return 0.0;
-  return ExactDnfProbability(g, events, options.exact);
 }
 
 Result<double> ExactSubgraphSimilarityProbability(
@@ -179,26 +158,6 @@ Result<double> ExactSubgraphSimilarityProbability(
   PGSIM_RETURN_NOT_OK(
       CollectSimilarityEvents(g, relaxed, options, scratch, plans, gate));
   return ExactSspFromEvents(g, options, scratch);
-}
-
-Result<double> ExactSspByWorldEnumeration(const ProbabilisticGraph& g,
-                                          const Graph& q, uint32_t delta,
-                                          uint32_t max_edges) {
-  WorldEnumOptions world_options;
-  world_options.max_edges = max_edges;
-  double total = 0.0;
-  // One world-view graph reused across all 2^|E| worlds: BuildEdgeSubsetGraph
-  // refills its CSR storage instead of running a GraphBuilder per world.
-  Graph world_graph;
-  PGSIM_RETURN_NOT_OK(EnumerateWorlds(
-      g,
-      [&](const EdgeBitset& world, double p) {
-        BuildEdgeSubsetGraph(g.certain(), world, &world_graph);
-        if (IsSubgraphSimilar(q, world_graph, delta)) total += p;
-        return true;
-      },
-      world_options));
-  return total;
 }
 
 Result<double> SampleSubgraphSimilarityProbability(

@@ -3,8 +3,8 @@
 //
 // Exact: SSP = Pr(Bf1 ∨ ... ∨ Bfm) (Equation 22) over the embeddings of all
 // relaxed queries — evaluated by the exact monotone-DNF engine (exponential
-// worst case, the paper's "Exact" baseline), or, for tiny graphs, by world
-// enumeration straight from Definition 9 (tests' ground truth).
+// worst case, the paper's "Exact" baseline). Definition 9 computed literally
+// by world enumeration is a test-only oracle (tests/oracles/).
 //
 // SMP (Algorithm 5): Karp–Luby coverage sampling. m embedding events with
 // exact marginals Pr(Bfi) from the joint model, V = sum_i Pr(Bfi); each
@@ -185,21 +185,11 @@ Status CollectSimilarityEvents(const ProbabilisticGraph& g,
                                const std::vector<MatchPlan>* plans = nullptr,
                                const SignatureGate* gate = nullptr);
 
-/// Legacy materializing wrapper around the scratch-based collector.
-Result<std::vector<EdgeBitset>> CollectSimilarityEvents(
-    const ProbabilisticGraph& g, const std::vector<Graph>& relaxed,
-    const VerifierOptions& options);
-
 /// Exact SSP via the monotone-DNF engine (Equation 22) over the events in
 /// `scratch->events` (as left by CollectSimilarityEvents).
 Result<double> ExactSspFromEvents(const ProbabilisticGraph& g,
                                   const VerifierOptions& options,
                                   VerifierScratch* scratch);
-
-/// Exact SSP over an explicit event list.
-Result<double> ExactSspFromEvents(const ProbabilisticGraph& g,
-                                  const std::vector<EdgeBitset>& events,
-                                  const VerifierOptions& options);
 
 /// Exact SSP of q against g (relaxes q internally). Exponential worst case.
 Result<double> ExactSubgraphSimilarityProbability(
@@ -213,12 +203,6 @@ Result<double> ExactSubgraphSimilarityProbability(
     const VerifierOptions& options, VerifierScratch* scratch,
     const std::vector<MatchPlan>* plans = nullptr,
     const SignatureGate* gate = nullptr);
-
-/// Definition 9 evaluated literally by possible-world enumeration + subgraph
-/// distance per world. Tiny graphs only; tests' ground truth.
-Result<double> ExactSspByWorldEnumeration(const ProbabilisticGraph& g,
-                                          const Graph& q, uint32_t delta,
-                                          uint32_t max_edges = 18);
 
 /// Algorithm 5 (SMP). Returns the estimated SSP in [0, 1].
 Result<double> SampleSubgraphSimilarityProbability(

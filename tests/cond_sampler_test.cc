@@ -3,8 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/bounds_reference.h"
+#include "oracles/possible_world.h"
 #include "pgsim/bounds/cond_sampler.h"
-#include "pgsim/prob/possible_world.h"
 #include "test_util.h"
 
 namespace pgsim {

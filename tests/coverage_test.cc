@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/exact_probability.h"
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/graph/relaxation.h"
 #include "pgsim/graph/vf2.h"
@@ -33,15 +34,17 @@ TEST(SimilarityEventsTest, DeduplicatesAcrossRelaxedQueries) {
   auto relaxed = GenerateRelaxedQueries(q, 1);
   ASSERT_TRUE(relaxed.ok());
   VerifierOptions options;
-  auto events = CollectSimilarityEvents(pg, *relaxed, options);
-  ASSERT_TRUE(events.ok());
-  for (size_t i = 0; i < events->size(); ++i) {
-    for (size_t j = i + 1; j < events->size(); ++j) {
-      EXPECT_FALSE((*events)[i] == (*events)[j]) << i << "," << j;
+  VerifierScratch scratch;
+  ASSERT_TRUE(CollectSimilarityEvents(pg, *relaxed, options, &scratch).ok());
+  const std::vector<EdgeBitset> events =
+      EventBitsets(scratch, pg.NumEdges());
+  for (size_t i = 0; i < events.size(); ++i) {
+    for (size_t j = i + 1; j < events.size(); ++j) {
+      EXPECT_FALSE(events[i] == events[j]) << i << "," << j;
     }
   }
   // A path of 5 has 4 single-edge subgraphs: exactly 4 events.
-  EXPECT_EQ(events->size(), 4u);
+  EXPECT_EQ(events.size(), 4u);
 }
 
 TEST(SimilarityEventsTest, EventsAreActualEmbeddings) {
@@ -53,10 +56,10 @@ TEST(SimilarityEventsTest, EventsAreActualEmbeddings) {
   auto relaxed = GenerateRelaxedQueries(q, 1);
   ASSERT_TRUE(relaxed.ok());
   VerifierOptions options;
-  auto events = CollectSimilarityEvents(pg, *relaxed, options);
-  ASSERT_TRUE(events.ok());
+  VerifierScratch scratch;
+  ASSERT_TRUE(CollectSimilarityEvents(pg, *relaxed, options, &scratch).ok());
   // Every event's edge set, taken as a subgraph, contains some rq.
-  for (const EdgeBitset& event : *events) {
+  for (const EdgeBitset& event : EventBitsets(scratch, pg.NumEdges())) {
     const Graph sub = EdgeInducedSubgraph(g, event.ToVector());
     bool matches_some_rq = false;
     for (const Graph& rq : *relaxed) {
@@ -167,6 +170,7 @@ TEST(PrunerRandomLsimTest, RandomSelectionLsimIsValidLowerBound) {
   ProbPrunerOptions po;
   po.selection = BoundSelection::kRandom;
   ProbabilisticPruner pruner(&pmi, po);
+  PrunerScratch scratch;
   Rng rng(11);
   auto q = ExtractQuery(db[1].certain(), 4, &rng);
   ASSERT_TRUE(q.ok());
@@ -175,7 +179,7 @@ TEST(PrunerRandomLsimTest, RandomSelectionLsimIsValidLowerBound) {
   for (uint32_t gi = 0; gi < db.size(); ++gi) {
     auto exact = ExactSubgraphSimilarityProbability(db[gi], relaxed);
     if (!exact.ok()) continue;
-    const PruneDecision d = pruner.Bounds(gi, &rng);
+    const PruneDecision d = pruner.Bounds(gi, &rng, &scratch);
     EXPECT_LE(d.lsim, *exact + 0.1) << "graph " << gi;
     EXPECT_GE(d.usim, *exact - 0.1) << "graph " << gi;
   }

@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/possible_world.h"
 #include "pgsim/prob/dnf_exact.h"
-#include "pgsim/prob/possible_world.h"
 #include "test_util.h"
 
 namespace pgsim {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/bounds_reference.h"
 #include "pgsim/bounds/embedding_cuts.h"
 #include "pgsim/graph/vf2.h"
 #include "test_util.h"

@@ -6,22 +6,23 @@
 //   * the exact check's label-multiset/size guard and ascending-edge rq
 //     order must not change SCq (cross-checked against an unguarded,
 //     unordered VF2 loop);
-//   * ProbabilisticPruner: the columnar bound-program path (PrunerScratch
-//     overloads) must produce bit-identical PruneDecision streams AND leave
-//     the RNG in the same state as the allocating reference path, for both
-//     BoundSelection x both SipVariant, several delta/epsilon points, and
-//     duplicated batches whose copies share one compiled query;
+//   * ProbabilisticPruner: the columnar bound-program path must produce
+//     bit-identical PruneDecision streams AND leave the RNG in the same
+//     state as the allocating oracle (tests/oracles/pruner_reference.h), for
+//     both BoundSelection x both SipVariant, several delta/epsilon points,
+//     and duplicated batches whose copies share one compiled query;
 //   * steady state: a second pruning pass over the same candidates performs
 //     no scratch growth (mirrors verifier_engine_test's pool pin).
 
 #include <gtest/gtest.h>
 
+#include "oracles/pruner_reference.h"
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/graph/relaxation.h"
 #include "pgsim/graph/vf2.h"
 #include "pgsim/index/pmi.h"
-#include "pgsim/query/processor.h"
 #include "pgsim/query/prob_pruner.h"
+#include "pgsim/query/processor.h"
 #include "pgsim/query/structural_filter.h"
 
 namespace pgsim {
@@ -191,6 +192,7 @@ TEST_P(ColumnarPrunerTest, DecisionStreamAndRngMatchReference) {
     auto relaxed = GenerateRelaxedQueries(*q, delta);
     ASSERT_TRUE(relaxed.ok());
     pruner.PrepareQuery(*relaxed);
+    const PreparedQueryRelations& prepared = *pruner.SharePrepared();
     for (const double epsilon : {0.1, 0.5, 0.9, 2.0}) {
       // Same-seeded RNG pair: decisions AND the post-evaluation RNG state
       // must agree graph by graph (the processor's verification stage forks
@@ -198,7 +200,8 @@ TEST_P(ColumnarPrunerTest, DecisionStreamAndRngMatchReference) {
       Rng ref_rng(seed ^ 0xABCD);
       Rng col_rng(seed ^ 0xABCD);
       for (uint32_t gi = 0; gi < fx.db.size(); ++gi) {
-        const PruneDecision ref = pruner.Evaluate(gi, epsilon, &ref_rng);
+        const PruneDecision ref = EvaluatePrunerReference(
+            fx.pmi, options, prepared, gi, epsilon, &ref_rng);
         const PruneDecision col =
             pruner.Evaluate(gi, epsilon, &col_rng, &scratch);
         EXPECT_EQ(static_cast<int>(ref.outcome), static_cast<int>(col.outcome))
@@ -207,11 +210,12 @@ TEST_P(ColumnarPrunerTest, DecisionStreamAndRngMatchReference) {
         EXPECT_EQ(ref.lsim, col.lsim) << "graph " << gi;
         EXPECT_EQ(ref_rng.Next(), col_rng.Next()) << "graph " << gi;
       }
-      // Bounds (no short-circuit) too.
+      // Bounds too: the oracle at epsilon 2.0 computes what Bounds reports.
       Rng ref_rng2(seed ^ 0x1234);
       Rng col_rng2(seed ^ 0x1234);
       for (uint32_t gi = 0; gi < fx.db.size(); ++gi) {
-        const PruneDecision ref = pruner.Bounds(gi, &ref_rng2);
+        const PruneDecision ref = EvaluatePrunerReference(
+            fx.pmi, options, prepared, gi, 2.0, &ref_rng2);
         const PruneDecision col = pruner.Bounds(gi, &col_rng2, &scratch);
         EXPECT_EQ(ref.usim, col.usim) << "graph " << gi;
         EXPECT_EQ(ref.lsim, col.lsim) << "graph " << gi;

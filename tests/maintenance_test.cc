@@ -13,6 +13,7 @@
 #include <sstream>
 #include <thread>
 
+#include "oracles/pruner_reference.h"
 #include "pgsim/datasets/stats.h"
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/graph/vf2.h"

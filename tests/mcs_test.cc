@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "pgsim/graph/mcs.h"
+#include "oracles/mcs.h"
 #include "pgsim/graph/relaxation.h"
 #include "pgsim/graph/vf2.h"
 #include "test_util.h"

@@ -1,4 +1,4 @@
-#include "pgsim/graph/mcs.h"
+#include "oracles/mcs.h"
 
 #include <algorithm>
 #include <vector>

@@ -1,4 +1,5 @@
-// Maximum common subgraph and subgraph distance (paper Definitions 7–8).
+// Test-only oracle: maximum common subgraph and subgraph distance (paper
+// Definitions 7–8).
 //
 // dis(q, g) = |E(q)| - |mcs(q, g)| where mcs is the largest edge subgraph of
 // q that is subgraph isomorphic to g. `q ⊆sim g` (subgraph similar) iff

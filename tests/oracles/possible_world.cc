@@ -1,4 +1,4 @@
-#include "pgsim/prob/possible_world.h"
+#include "oracles/possible_world.h"
 
 #include <string>
 

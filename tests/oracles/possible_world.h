@@ -1,8 +1,5 @@
-// Possible-world enumeration (paper Definition 3, Figure 2).
-//
-// Exhaustive enumeration is exponential in |E| and exists for two purposes:
-// ground truth in tests, and the paper's "Exact ... scans the probabilistic
-// graph databases one by one" baseline at small scale.
+// Test-only oracle: possible-world enumeration (paper Definition 3,
+// Figure 2). Exponential in |E|; ground truth for tiny graphs.
 
 #pragma once
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/exact_probability.h"
 #include "pgsim/bounds/sip_bounds.h"
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/graph/vf2.h"

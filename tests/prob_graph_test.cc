@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "pgsim/prob/possible_world.h"
+#include "oracles/possible_world.h"
 #include "pgsim/prob/probabilistic_graph.h"
 #include "test_util.h"
 

@@ -44,6 +44,7 @@ TEST_P(PrunerBoundsTest, UsimAndLsimBracketExactSsp) {
   Fixture fx = MakeFixture(GetParam());
   ProbPrunerOptions options;
   ProbabilisticPruner pruner(&fx.pmi, options);
+  PrunerScratch scratch;
   Rng rng(GetParam() + 1);
   // Monte-Carlo slack on the SIP estimates propagates into Usim/Lsim.
   const double slack = 0.1;
@@ -60,7 +61,7 @@ TEST_P(PrunerBoundsTest, UsimAndLsimBracketExactSsp) {
       if (!exact.ok()) continue;
       // Evaluate with epsilon 2.0 so no branch short-circuits and we get
       // both bounds back.
-      const PruneDecision d = pruner.Evaluate(gi, 2.0, &rng);
+      const PruneDecision d = pruner.Evaluate(gi, 2.0, &rng, &scratch);
       EXPECT_GE(d.usim, *exact - slack)
           << "graph " << gi << " exact=" << *exact;
       EXPECT_LE(d.lsim, *exact + slack)
@@ -76,6 +77,7 @@ TEST(PrunerDecisionTest, OutcomesPartitionTheCandidates) {
   Fixture fx = MakeFixture(1411);
   ProbPrunerOptions options;
   ProbabilisticPruner pruner(&fx.pmi, options);
+  PrunerScratch scratch;
   Rng rng(31);
   auto q = ExtractQuery(fx.db[0].certain(), 4, &rng);
   ASSERT_TRUE(q.ok());
@@ -83,7 +85,7 @@ TEST(PrunerDecisionTest, OutcomesPartitionTheCandidates) {
   ASSERT_TRUE(relaxed.ok());
   pruner.PrepareQuery(*relaxed);
   for (uint32_t gi = 0; gi < fx.db.size(); ++gi) {
-    const PruneDecision d = pruner.Evaluate(gi, 0.5, &rng);
+    const PruneDecision d = pruner.Evaluate(gi, 0.5, &rng, &scratch);
     switch (d.outcome) {
       case PruneOutcome::kPruned:
         EXPECT_LT(d.usim, 0.5);
@@ -113,6 +115,7 @@ TEST(PrunerVariantTest, OptimizedUsimNoLooserThanRandom) {
   rnd_options.selection = BoundSelection::kRandom;
   ProbabilisticPruner opt(&fx.pmi, opt_options);
   ProbabilisticPruner rnd(&fx.pmi, rnd_options);
+  PrunerScratch scratch;
   Rng rng(37);
   auto q = ExtractQuery(fx.db[1].certain(), 4, &rng);
   ASSERT_TRUE(q.ok());
@@ -122,8 +125,8 @@ TEST(PrunerVariantTest, OptimizedUsimNoLooserThanRandom) {
   rnd.PrepareQuery(*relaxed);
   double opt_total = 0.0, rnd_total = 0.0;
   for (uint32_t gi = 0; gi < fx.db.size(); ++gi) {
-    opt_total += opt.Evaluate(gi, 2.0, &rng).usim;
-    rnd_total += rnd.Evaluate(gi, 2.0, &rng).usim;
+    opt_total += opt.Evaluate(gi, 2.0, &rng, &scratch).usim;
+    rnd_total += rnd.Evaluate(gi, 2.0, &rng, &scratch).usim;
   }
   EXPECT_LE(opt_total, rnd_total + 1e-9);
 }
@@ -136,6 +139,7 @@ TEST(PrunerVariantTest, SipVariantSelectsDifferentEntries) {
   simple_options.sip_variant = SipVariant::kSimple;
   ProbabilisticPruner opt(&fx.pmi, opt_options);
   ProbabilisticPruner simple(&fx.pmi, simple_options);
+  PrunerScratch scratch;
   Rng rng(41);
   auto q = ExtractQuery(fx.db[2].certain(), 4, &rng);
   ASSERT_TRUE(q.ok());
@@ -146,8 +150,8 @@ TEST(PrunerVariantTest, SipVariantSelectsDifferentEntries) {
   // OPT SIP upper bounds are tighter (<=), so OPT Usim <= simple Usim.
   double opt_total = 0.0, simple_total = 0.0;
   for (uint32_t gi = 0; gi < fx.db.size(); ++gi) {
-    opt_total += opt.Evaluate(gi, 2.0, &rng).usim;
-    simple_total += simple.Evaluate(gi, 2.0, &rng).usim;
+    opt_total += opt.Evaluate(gi, 2.0, &rng, &scratch).usim;
+    simple_total += simple.Evaluate(gi, 2.0, &rng, &scratch).usim;
   }
   EXPECT_LE(opt_total, simple_total + 1e-9);
 }

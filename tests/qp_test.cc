@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/pruner_reference.h"
 #include "pgsim/query/quadratic_program.h"
 
 namespace pgsim {

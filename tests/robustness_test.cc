@@ -4,13 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/mcs.h"
+#include "oracles/possible_world.h"
 #include "pgsim/datasets/synthetic.h"
-#include "pgsim/graph/mcs.h"
 #include "pgsim/graph/relaxation.h"
 #include "pgsim/graph/vf2.h"
 #include "pgsim/index/pmi.h"
 #include "pgsim/prob/dnf_exact.h"
-#include "pgsim/prob/possible_world.h"
 #include "pgsim/query/processor.h"
 #include "test_util.h"
 

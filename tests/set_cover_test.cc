@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/pruner_reference.h"
 #include "pgsim/query/set_cover.h"
 
 namespace pgsim {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/exact_probability.h"
 #include "pgsim/bounds/sip_bounds.h"
 #include "pgsim/graph/vf2.h"
 #include "test_util.h"

@@ -1,8 +1,9 @@
 // Tests for the checksummed snapshot formats: the SnapshotWriter/Reader
 // container, PMI3 and StructuralFilter round trips with byte-identical
-// re-saves, legacy PMI2 loading, and — the robustness pin — a truncation
-// sweep proving every proper prefix of every snapshot file is rejected with
-// an error (never loaded as zeros), plus bit-flip detection.
+// re-saves, rejection of the retired PMI1/PMI2 formats, and — the
+// robustness pin — a truncation sweep proving every proper prefix of every
+// snapshot file is rejected with an error (never loaded as zeros), plus
+// bit-flip detection.
 
 #include <gtest/gtest.h>
 
@@ -178,47 +179,27 @@ void WriteLegacyPmi2(const std::string& path,
   WriteU64(os, 0);
 }
 
-TEST(PmiSnapshotTest, LegacyPmi2StillLoads) {
+TEST(PmiSnapshotTest, LegacyPmiFilesAreRejected) {
+  // Load reads PMI3 only: a legacy file, whole or cut short, and the same
+  // bytes under the pre-epoch PMI1 magic are not an index.
   const auto db = SmallDatabase(9021, 4);
   auto pmi = ProbabilisticMatrixIndex::Build(db, FastBuild()).value();
-  const std::string path = testing::TempDir() + "/pgsim_pmi2_legacy.bin";
-  std::vector<uint8_t> alive(pmi.num_graphs(), 1);
-  alive[2] = 0;
-  WriteLegacyPmi2(path, pmi, /*epoch=*/5, alive);
-
-  auto loaded = ProbabilisticMatrixIndex::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_graphs(), pmi.num_graphs());
-  EXPECT_EQ(loaded->epoch(), 5u);
-  EXPECT_FALSE(loaded->IsAlive(2));
-  EXPECT_EQ(loaded->num_alive(), pmi.num_graphs() - 1);
-  for (uint32_t gi = 0; gi < pmi.num_graphs(); ++gi) {
-    if (gi == 2) continue;
-    const auto a = pmi.EntriesFor(gi);
-    const auto b = loaded->EntriesFor(gi);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].feature_id, b[k].feature_id);
-      EXPECT_FLOAT_EQ(a[k].upper_opt, b[k].upper_opt);
-    }
+  const std::string path = testing::TempDir() + "/pgsim_pmi_legacy.bin";
+  WriteLegacyPmi2(path, pmi, /*epoch=*/5,
+                  std::vector<uint8_t>(pmi.num_graphs(), 1));
+  const std::string pmi2 = Slurp(path);
+  std::string pmi1 = pmi2;
+  pmi1[0] = '1';  // little-endian "PMI2" magic: the version digit comes first
+  for (const std::string& full : {pmi2, pmi1}) {
+    Spit(path, full);
+    EXPECT_EQ(ProbabilisticMatrixIndex::Load(path).status().code(),
+              StatusCode::kInvalidArgument);
   }
-  std::remove(path.c_str());
-}
-
-TEST(PmiSnapshotTest, LegacyPmi2TruncationSweepNeverLoads) {
-  const auto db = SmallDatabase(9031, 3);
-  auto pmi = ProbabilisticMatrixIndex::Build(db, FastBuild()).value();
-  const std::string path = testing::TempDir() + "/pgsim_pmi2_sweep.bin";
-  WriteLegacyPmi2(path, pmi, 0, std::vector<uint8_t>(pmi.num_graphs(), 1));
-  const std::string full = Slurp(path);
-  ASSERT_TRUE(ProbabilisticMatrixIndex::Load(path).ok());
-
-  // Legacy files have no checksums, but truncation must still surface as an
-  // error from the field readers — never as silently-zero trailing state.
-  for (size_t cut = 0; cut < full.size(); ++cut) {
-    Spit(path, full.substr(0, cut));
-    auto loaded = ProbabilisticMatrixIndex::Load(path);
-    ASSERT_FALSE(loaded.ok()) << "prefix of " << cut << " bytes loaded";
+  for (size_t cut = 0; cut < pmi2.size(); ++cut) {
+    Spit(path, pmi2.substr(0, cut));
+    ASSERT_EQ(ProbabilisticMatrixIndex::Load(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << "prefix of " << cut << " bytes";
   }
   std::remove(path.c_str());
 }

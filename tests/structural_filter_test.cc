@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/mcs.h"
 #include "pgsim/datasets/synthetic.h"
-#include "pgsim/graph/mcs.h"
 #include "pgsim/graph/relaxation.h"
 #include "pgsim/mining/feature_miner.h"
 #include "pgsim/query/structural_filter.h"

@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/possible_world.h"
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/graph/vf2.h"
-#include "pgsim/prob/possible_world.h"
 
 namespace pgsim {
 namespace {

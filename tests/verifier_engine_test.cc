@@ -174,15 +174,14 @@ TEST(VerifierEngineTest, PerRqCapIsInclusive) {
   ASSERT_TRUE(relaxed.ok());
   VerifierOptions options;
 
+  VerifierScratch scratch;
   options.max_embeddings_per_rq = 4;
-  auto ok = CollectSimilarityEvents(pg, *relaxed, options);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->size(), 4u);
+  ASSERT_TRUE(CollectSimilarityEvents(pg, *relaxed, options, &scratch).ok());
+  EXPECT_EQ(scratch.events.size(), 4u);
 
   options.max_embeddings_per_rq = 3;
-  auto err = CollectSimilarityEvents(pg, *relaxed, options);
-  ASSERT_FALSE(err.ok());
-  EXPECT_EQ(err.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(CollectSimilarityEvents(pg, *relaxed, options, &scratch).code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(VerifierEngineTest, TotalCapIsInclusive) {
@@ -194,15 +193,14 @@ TEST(VerifierEngineTest, TotalCapIsInclusive) {
   ASSERT_TRUE(relaxed.ok());
   VerifierOptions options;
 
+  VerifierScratch scratch;
   options.max_total_embeddings = 4;  // exactly the distinct event count
-  auto ok = CollectSimilarityEvents(pg, *relaxed, options);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->size(), 4u);
+  ASSERT_TRUE(CollectSimilarityEvents(pg, *relaxed, options, &scratch).ok());
+  EXPECT_EQ(scratch.events.size(), 4u);
 
   options.max_total_embeddings = 3;
-  auto err = CollectSimilarityEvents(pg, *relaxed, options);
-  ASSERT_FALSE(err.ok());
-  EXPECT_EQ(err.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(CollectSimilarityEvents(pg, *relaxed, options, &scratch).code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(VerifierEngineTest, DedupTableGrowthKeepsEveryDistinctEvent) {
@@ -231,9 +229,9 @@ TEST(VerifierEngineTest, DedupTableGrowthKeepsEveryDistinctEvent) {
   VerifierOptions options;
   options.max_embeddings_per_rq = 0;  // uncapped (also pins 0's meaning)
   options.max_total_embeddings = 4096;
-  auto events = CollectSimilarityEvents(*pg, {q}, options);
-  ASSERT_TRUE(events.ok());
-  EXPECT_EQ(events->size(), kLeaves);
+  VerifierScratch scratch;
+  ASSERT_TRUE(CollectSimilarityEvents(*pg, {q}, options, &scratch).ok());
+  EXPECT_EQ(scratch.events.size(), kLeaves);
 }
 
 TEST(VerifierEngineTest, BuildEdgeSubsetGraphMatchesBuilder) {

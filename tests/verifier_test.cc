@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/exact_probability.h"
 #include "pgsim/graph/relaxation.h"
 #include "pgsim/query/verifier.h"
 #include "test_util.h"
@@ -118,9 +119,10 @@ TEST(VerifierTest, EventCapsSurfaceAsErrors) {
   ASSERT_TRUE(relaxed.ok());
   VerifierOptions options;
   options.max_embeddings_per_rq = 1;
-  auto events = CollectSimilarityEvents(pg, *relaxed, options);
-  if (!events.ok()) {
-    EXPECT_EQ(events.status().code(), StatusCode::kResourceExhausted);
+  VerifierScratch scratch;
+  const Status s = CollectSimilarityEvents(pg, *relaxed, options, &scratch);
+  if (!s.ok()) {
+    EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
   }
 }
 

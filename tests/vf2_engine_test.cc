@@ -1,6 +1,6 @@
 // Equivalence suite for the compiled VF2 matching engine: pins the
-// plan-based iterative matcher against the retained recursive reference
-// path (EnumerateEmbeddingsReference) and the independent brute-force
+// plan-based iterative matcher against the recursive reference engine
+// (oracles/vf2_reference.h) and the independent brute-force
 // oracle — embedding *sets* are order-insensitive, reported counts are
 // bit-identical, and default-plan enumeration preserves the reference
 // order byte for byte (offline artifacts depend on it). Also covers the
@@ -14,6 +14,7 @@
 #include <set>
 #include <vector>
 
+#include "oracles/vf2_reference.h"
 #include "pgsim/graph/vf2.h"
 #include "pgsim/query/verifier.h"
 #include "test_util.h"

@@ -69,9 +69,10 @@ TEST(Vf2Test, EmbeddingDedupByEdgeSet) {
 TEST(Vf2Test, EmbeddingWithoutDedupCountsAutomorphisms) {
   Vf2Options options;
   options.dedup_by_edge_set = false;
+  Vf2Scratch scratch;
   size_t count = 0;
-  EnumerateEmbeddings(MakePath(3), MakeTriangle(0, 0, 0), options,
-                      [&](const Embedding&) {
+  EnumerateEmbeddings(CompileMatchPlan(MakePath(3)), MakeTriangle(0, 0, 0),
+                      options, &scratch, [&](const Embedding&) {
                         ++count;
                         return true;
                       });
@@ -91,8 +92,10 @@ TEST(Vf2Test, EmbeddingMapsAreConsistent) {
   const Graph target =
       MakeGraph({2, 1, 2}, {{0, 1, 3}, {1, 2, 3}});
   Vf2Options options;
+  Vf2Scratch scratch;
   size_t checked = 0;
-  EnumerateEmbeddings(pattern, target, options, [&](const Embedding& emb) {
+  EnumerateEmbeddings(CompileMatchPlan(pattern), target, options, &scratch,
+                      [&](const Embedding& emb) {
     // Vertex labels preserved.
     for (VertexId pv = 0; pv < pattern.NumVertices(); ++pv) {
       EXPECT_EQ(pattern.VertexLabel(pv),
