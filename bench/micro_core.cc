@@ -126,7 +126,7 @@ BENCHMARK(BM_Vf2_PlanCompile)->Arg(4)->Arg(8)->Arg(12);
 // domain-seeded matching — BM_Vf2_DomainSeeded/0 runs the plain compiled
 // matcher over a label-diverse database, /1 runs the identical workload
 // through BuildCandidateDomains + domain-restricted matching (the stage-3
-// shape with signatures on). Recorded in BENCH_10.json.
+// shape of every query). Recorded in BENCH_10.json.
 struct SignatureFixture {
   std::vector<ProbabilisticGraph> db;
   std::vector<Graph> targets;

@@ -8,12 +8,11 @@
 //                      [--build-threads=N]
 //                      [--answer-cache[=CAP]] [--repeat=N] [--mutate-every=N]
 //                      [--wal-dir=DIR] [--snapshot-every=N]
-//                      [--signatures=on|off]
 //
-// --signatures toggles the neighborhood-signature gate (default on): barren
+// Every query runs behind the neighborhood-signature gate: barren
 // (rq, candidate) pairs are rejected before VF2 and survivors run over
-// signature-built candidate domains. Answers are bit-identical either way;
-// the per-pass "signatures ..." line reports the work avoided.
+// signature-built candidate domains. The per-pass "signatures:" line
+// reports the work avoided.
 //
 // --wal-dir serves from a crash-consistent durable database in DIR: the
 // first run initializes it from --db (snapshot generation 0 + empty WAL);
@@ -47,7 +46,6 @@
 //                      [--deadline-ms=N] [--priority=N] [--allow-degraded]
 //                      [--cancel-after-draws=N] [--max-queue=N]
 //                      [--answer-cache[=CAP]] [--repeat=N] [--mutate-every=N]
-//                      [--signatures=on|off]
 //
 // serve drives the always-on ServingCore instead of a closed batch: every
 // query is Submit()ed through the bounded priority admission queue
@@ -301,8 +299,8 @@ int CmdQuery(int argc, char** argv) {
   if (RejectUnknownFlags(
           argc, argv,
           {"db", "index", "queries", "build-threads", "delta", "epsilon",
-           "signatures", "threads", "answer-cache", "repeat",
-           "mutate-every", "wal-dir", "snapshot-every"})) {
+           "threads", "answer-cache", "repeat", "mutate-every", "wal-dir",
+           "snapshot-every"})) {
     return 2;
   }
   const std::string wal_dir = FlagStr(argc, argv, "wal-dir", "");
@@ -311,16 +309,6 @@ int CmdQuery(int argc, char** argv) {
   QueryOptions options;
   options.delta = FlagInt(argc, argv, "delta", 1);
   options.epsilon = FlagDouble(argc, argv, "epsilon", 0.5);
-  const std::string signatures = FlagStr(argc, argv, "signatures", "on");
-  if (signatures == "on") {
-    options.use_signatures = true;
-  } else if (signatures == "off") {
-    options.use_signatures = false;
-  } else {
-    std::fprintf(stderr, "unknown --signatures=%s (on|off)\n",
-                 signatures.c_str());
-    return 2;
-  }
   BatchOptions batch;
   // Clamp: negative flag values would wrap through the uint32 fields.
   const int64_t threads = FlagInt(argc, argv, "threads", 1);
@@ -444,10 +432,10 @@ int CmdQuery(int argc, char** argv) {
                     batch_stats.compiled_cache_misses,
                 batch_stats.cache_seconds * 1e3);
     std::printf(
-        "signatures %s: %zu pairs rejected, %zu domain candidates pruned, "
+        "signatures: %zu pairs rejected, %zu domain candidates pruned, "
         "%zu VF2 calls avoided\n",
-        options.use_signatures ? "on" : "off", batch_stats.sig_pairs_rejected,
-        batch_stats.domain_candidates_pruned, batch_stats.vf2_calls_avoided);
+        batch_stats.sig_pairs_rejected, batch_stats.domain_candidates_pruned,
+        batch_stats.vf2_calls_avoided);
     std::printf(
         "dropped candidates: %zu verification failures, %zu cancelled\n",
         batch_stats.verification_failures, batch_stats.cancelled_candidates);
@@ -481,9 +469,9 @@ int CmdServe(int argc, char** argv) {
   if (RejectUnknownFlags(
           argc, argv,
           {"db", "index", "queries", "build-threads", "delta", "epsilon",
-           "signatures", "threads", "max-queue", "answer-cache", "deadline-ms",
-           "priority", "allow-degraded", "cancel-after-draws", "repeat",
-           "mutate-every", "serve"})) {
+           "threads", "max-queue", "answer-cache", "deadline-ms", "priority",
+           "allow-degraded", "cancel-after-draws", "repeat", "mutate-every",
+           "serve"})) {
     return 2;
   }
   auto setup = LoadSetup(argc, argv);
@@ -496,16 +484,6 @@ int CmdServe(int argc, char** argv) {
   so.max_queue = max_queue < 0 ? 0 : static_cast<size_t>(max_queue);
   so.query.delta = FlagInt(argc, argv, "delta", 1);
   so.query.epsilon = FlagDouble(argc, argv, "epsilon", 0.5);
-  const std::string signatures = FlagStr(argc, argv, "signatures", "on");
-  if (signatures == "on") {
-    so.query.use_signatures = true;
-  } else if (signatures == "off") {
-    so.query.use_signatures = false;
-  } else {
-    std::fprintf(stderr, "unknown --signatures=%s (on|off)\n",
-                 signatures.c_str());
-    return 2;
-  }
 
   const bool answer_cache_on = FlagPresent(argc, argv, "answer-cache");
   AnswerCacheOptions cache_options;
@@ -612,9 +590,8 @@ int CmdServe(int argc, char** argv) {
       static_cast<unsigned long long>(st.mutations_applied),
       static_cast<unsigned long long>(st.double_resolves));
   std::printf(
-      "signatures %s: %llu pairs rejected, %llu domain candidates pruned, "
+      "signatures: %llu pairs rejected, %llu domain candidates pruned, "
       "%llu VF2 calls avoided\n",
-      so.query.use_signatures ? "on" : "off",
       static_cast<unsigned long long>(st.sig_pairs_rejected),
       static_cast<unsigned long long>(st.domain_candidates_pruned),
       static_cast<unsigned long long>(st.vf2_calls_avoided));

@@ -154,7 +154,6 @@ struct alignas(64) TaskScheduler::PerWorker {
   uint64_t executed = 0;
   uint64_t stolen = 0;
   uint64_t steal_attempts = 0;
-  uint64_t root_claims = 0;
   uint64_t max_depth = 0;
 };
 
@@ -174,19 +173,17 @@ TaskScheduler::~TaskScheduler() {
   }
 }
 
-SchedulerRunStats TaskScheduler::Run(const Task* roots, size_t num_roots,
-                                     size_t root_chunk) {
+SchedulerRunStats TaskScheduler::Run(const Task* roots, size_t num_roots) {
   SchedulerRunStats stats;
   if (num_roots == 0) return stats;
   roots_ = roots;
   num_roots_ = num_roots;
-  root_chunk_ = root_chunk == 0 ? 1 : root_chunk;
   root_cursor_.store(0, std::memory_order_relaxed);
   pending_.store(static_cast<int64_t>(num_roots), std::memory_order_relaxed);
   first_exception_ = nullptr;
   for (auto& worker : workers_) {
     worker->executed = worker->stolen = worker->steal_attempts =
-        worker->root_claims = worker->max_depth = 0;
+        worker->max_depth = 0;
   }
 
   if (pool_ == nullptr) {
@@ -205,7 +202,6 @@ SchedulerRunStats TaskScheduler::Run(const Task* roots, size_t num_roots,
     stats.tasks_executed += worker->executed;
     stats.tasks_stolen += worker->stolen;
     stats.steal_attempts += worker->steal_attempts;
-    stats.root_claims += worker->root_claims;
     stats.max_queue_depth = std::max(stats.max_queue_depth, worker->max_depth);
   }
   roots_ = nullptr;
@@ -292,27 +288,18 @@ void TaskScheduler::Park() {
 void TaskScheduler::WorkerLoop(uint32_t worker) {
   PerWorker& self = *workers_[worker];
   uint64_t rng_state = 0x9E3779B97F4A7C15ULL * (worker + 1) | 1;
-  size_t local_root = 0;
-  size_t local_root_end = 0;
   Task task;
   for (;;) {
     bool have = false;
     if (self.deque.Pop(&task)) {
       have = true;
-    } else if (local_root < local_root_end) {
-      task = roots_[local_root++];
-      have = true;
     } else if (TrySteal(worker, &rng_state, &task)) {
       ++self.stolen;
       have = true;
     } else {
-      const size_t begin =
-          root_cursor_.fetch_add(root_chunk_, std::memory_order_relaxed);
-      if (begin < num_roots_) {
-        ++self.root_claims;
-        local_root = begin;
-        local_root_end = std::min(begin + root_chunk_, num_roots_);
-        task = roots_[local_root++];
+      const size_t root = root_cursor_.fetch_add(1, std::memory_order_relaxed);
+      if (root < num_roots_) {
+        task = roots_[root];
         have = true;
       }
     }

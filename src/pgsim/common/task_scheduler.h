@@ -1,4 +1,4 @@
-// Work-stealing task scheduler with a chunked root-claim fallback.
+// Work-stealing task scheduler.
 //
 // The chunked ParallelFor in thread_pool.h distributes *ranges*: once a
 // worker claims a chunk it owns every item in it, so one pathological item
@@ -7,10 +7,9 @@
 // owns a Chase-Lev deque it pushes spawned subtasks onto (LIFO for the
 // owner, so a query's own verification candidates run next with warm
 // caches), and an idle worker steals from the FIFO end of a random victim —
-// the Galois/Pangolin stealing-executor idiom (ENABLE_STEAL + chunked
-// claim). Root tasks submitted to Run() are claimed `root_chunk` at a time
-// from a shared cursor, exactly like the chunked ParallelFor, so the steady
-// state is cheap and stealing only pays when skew appears.
+// the Galois/Pangolin stealing-executor idiom. Root tasks submitted to
+// Run() are claimed one at a time from a shared cursor once a worker's own
+// deque is empty and no steal succeeded.
 //
 // Tasks are plain structs (function pointer + context pointer + two u32
 // operands): spawning performs no allocation beyond occasional deque ring
@@ -45,7 +44,6 @@ struct SchedulerRunStats {
   uint64_t tasks_executed = 0;  ///< root + spawned tasks run to completion
   uint64_t tasks_stolen = 0;    ///< tasks taken from another worker's deque
   uint64_t steal_attempts = 0;  ///< victim probes, successful or not
-  uint64_t root_claims = 0;     ///< chunked grabs from the shared root cursor
   uint64_t max_queue_depth = 0; ///< deepest per-worker deque seen at a push
 };
 
@@ -82,15 +80,13 @@ class TaskScheduler {
 
   /// Runs `roots[0..num_roots)` and all transitively spawned tasks to
   /// completion. Workers prefer their own deque (newest first), then steal
-  /// from random victims, then claim `root_chunk` roots from the shared
-  /// cursor. If a task throws, the first exception is rethrown here after
-  /// the graph drains (remaining tasks still run); the scheduler stays
-  /// usable. Must not be called from inside a task.
-  SchedulerRunStats Run(const Task* roots, size_t num_roots,
-                        size_t root_chunk = 1);
-  SchedulerRunStats Run(const std::vector<Task>& roots,
-                        size_t root_chunk = 1) {
-    return Run(roots.data(), roots.size(), root_chunk);
+  /// from random victims, then claim the next root from the shared cursor.
+  /// If a task throws, the first exception is rethrown here after the graph
+  /// drains (remaining tasks still run); the scheduler stays usable. Must
+  /// not be called from inside a task.
+  SchedulerRunStats Run(const Task* roots, size_t num_roots);
+  SchedulerRunStats Run(const std::vector<Task>& roots) {
+    return Run(roots.data(), roots.size());
   }
 
   /// Pushes `task` onto `worker`'s deque. Call only from inside a task
@@ -130,10 +126,9 @@ class TaskScheduler {
   std::vector<std::unique_ptr<PerWorker>> workers_;
   std::vector<StateSlot> worker_state_;
 
-  // Per-run root distribution (chunked claim fallback).
+  // Per-run root distribution.
   const Task* roots_ = nullptr;
   size_t num_roots_ = 0;
-  size_t root_chunk_ = 1;
   std::atomic<size_t> root_cursor_{0};
 
   // Unfinished-task count: roots are pre-counted by Run(), Spawn()

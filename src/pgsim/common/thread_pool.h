@@ -1,10 +1,13 @@
 // Fixed-size worker pool with chunked parallel-for.
 //
-// QueryProcessor::QueryBatch fans query batches across one of these; the
-// chunked claim loop (an atomic cursor advanced `chunk` items at a time)
-// follows the Galois/Pangolin-style chunked work distribution: large enough
-// chunks to amortize the atomic, small enough to balance skewed per-query
-// cost. Header-only; uses only std::thread primitives.
+// The offline index builders (feature mining, PMI bound columns, the
+// structural filter's count table, the signature index) fan their per-item
+// work across one of these through ForEachIndex, and the work-stealing
+// TaskScheduler runs its worker loops on one. The chunked claim loop (an
+// atomic cursor advanced `chunk` items at a time) follows the
+// Galois/Pangolin-style chunked work distribution: large enough chunks to
+// amortize the atomic, small enough to balance skewed per-item cost.
+// Header-only; uses only std::thread primitives.
 
 #pragma once
 
@@ -84,8 +87,7 @@ class ThreadPool {
   /// Chunked parallel-for over [0, n): workers repeatedly claim the next
   /// `chunk` indices and call fn(worker_rank, begin, end) with worker_rank in
   /// [0, size()). Blocks until the whole range is processed. Per-rank state
-  /// (e.g. one QueryContext per rank) is safe: a rank never runs twice
-  /// concurrently.
+  /// is safe: a rank never runs twice concurrently.
   void ParallelFor(size_t n, size_t chunk,
                    const std::function<void(uint32_t, size_t, size_t)>& fn) {
     if (n == 0) return;
@@ -111,14 +113,6 @@ class ThreadPool {
   static uint32_t DefaultThreads() {
     const unsigned hc = std::thread::hardware_concurrency();
     return hc == 0 ? 1u : static_cast<uint32_t>(hc);
-  }
-
-  /// Resolves a (num_threads, pool) option pair the way every build/query
-  /// entry point does: a caller-owned pool wins; otherwise 0 means
-  /// DefaultThreads(). Returns the effective thread count.
-  static uint32_t ResolveThreads(uint32_t num_threads, const ThreadPool* pool) {
-    if (pool != nullptr) return pool->size();
-    return num_threads == 0 ? DefaultThreads() : num_threads;
   }
 
  private:
@@ -149,29 +143,26 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Resolves an options-style (num_threads, pool) pair into a usable pool:
-/// borrows `pool` when given, spawns an owned transient pool when
-/// num_threads resolves above 1, and stays null — the ForEachIndex inline
-/// path — otherwise. The single spawn point for every offline builder.
+/// Resolves an options-style `num_threads` (0 means DefaultThreads()) into
+/// a usable pool: spawns an owned transient pool when it resolves above 1,
+/// and stays null — the ForEachIndex inline path — otherwise. The single
+/// spawn point for every offline builder.
 class ScopedPool {
  public:
-  ScopedPool(uint32_t num_threads, ThreadPool* pool)
-      : threads_(ThreadPool::ResolveThreads(num_threads, pool)), pool_(pool) {
-    if (pool_ == nullptr && threads_ > 1) {
-      owned_ = std::make_unique<ThreadPool>(threads_);
-      pool_ = owned_.get();
-    }
+  explicit ScopedPool(uint32_t num_threads)
+      : threads_(num_threads == 0 ? ThreadPool::DefaultThreads()
+                                  : num_threads) {
+    if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
   }
 
   /// The pool to run on; null means "execute inline".
-  ThreadPool* get() const { return pool_; }
+  ThreadPool* get() const { return pool_.get(); }
   /// The effective worker count (1 for inline execution).
   uint32_t threads() const { return threads_; }
 
  private:
   uint32_t threads_;
-  ThreadPool* pool_;
-  std::unique_ptr<ThreadPool> owned_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// Runs fn(i) for every i in [0, n), inline on the calling thread when

@@ -21,7 +21,7 @@
 // preserves <=). SignatureDominates therefore never rejects a (pv, tv) pair
 // that appears in some embedding — rejections prune provably barren
 // candidates only, which is what keeps the matcher's answer set and
-// enumeration order bit-identical with signatures on or off.
+// enumeration order bit-identical with or without signature domains.
 //
 // Two consumers build on the per-pair test:
 //   * SignatureCoverTest — "can this pattern embed at all?": every pattern

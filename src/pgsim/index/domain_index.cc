@@ -66,7 +66,7 @@ SignatureIndex SignatureIndex::Build(
   idx.num_alive_ = n;
 
   // Workers own disjoint pre-sized slices: byte-identical at any width.
-  const ScopedPool pool(options.num_threads, options.pool);
+  const ScopedPool pool(options.num_threads);
   ForEachIndex(pool.get(), n, 4, [&](size_t gi) {
     const uint32_t begin = idx.offsets_[gi];
     BuildVertexSignatures(

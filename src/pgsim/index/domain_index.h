@@ -35,16 +35,12 @@
 
 namespace pgsim {
 
-class ThreadPool;
-
 class SignatureIndex {
  public:
   struct BuildOptions {
     /// Worker threads for the per-graph build; 0 = hardware concurrency,
-    /// 1 = inline. Ignored when `pool` is set.
+    /// 1 = inline.
     uint32_t num_threads = 1;
-    /// Optional external pool (not owned).
-    ThreadPool* pool = nullptr;
   };
 
   SignatureIndex() = default;

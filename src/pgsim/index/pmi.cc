@@ -121,24 +121,14 @@ Result<ProbabilisticMatrixIndex> ProbabilisticMatrixIndex::Build(
   index.sip_options_ = options.sip;
   index.beta_watermark_ = options.miner.beta;
 
-  // One pool serves the whole offline pipeline: candidate mining fan-out,
-  // then the per-graph bound columns. 1 thread builds fully inline; the
-  // index is bit-identical at every thread count (see parallel_build_test).
-  const ScopedPool scoped_pool(options.num_threads, options.pool);
-  ThreadPool* pool = scoped_pool.get();
-  index.stats_.build_threads = scoped_pool.threads();
-
   std::vector<Graph> certain;
   certain.reserve(database.size());
   for (const ProbabilisticGraph& g : database) certain.push_back(g.certain());
 
   WallTimer mining_timer;
   FeatureMinerOptions miner_options = options.miner;
-  if (miner_options.pool == nullptr && miner_options.num_threads == 0) {
-    // Inherit the build pool only when the miner's own threading was left
-    // at the default; an explicit miner.num_threads wins.
-    miner_options.pool = pool;
-    miner_options.num_threads = scoped_pool.threads();
+  if (miner_options.num_threads == 0) {
+    miner_options.num_threads = options.num_threads;
   }
   PGSIM_ASSIGN_OR_RETURN(FeatureSet mined,
                          MineFeatures(certain, miner_options));
@@ -153,6 +143,13 @@ Result<ProbabilisticMatrixIndex> ProbabilisticMatrixIndex::Build(
       features_of_graph[gi].push_back(fi);
     }
   }
+
+  // The per-graph bound columns run on their own pool. 1 thread builds
+  // fully inline; the index is bit-identical at every thread count (see
+  // parallel_build_test).
+  const ScopedPool scoped_pool(options.num_threads);
+  ThreadPool* pool = scoped_pool.get();
+  index.stats_.build_threads = scoped_pool.threads();
 
   WallTimer bounds_timer;
   // Fork one RNG per non-empty column sequentially, in graph order — the

@@ -73,15 +73,11 @@ struct PmiBuildOptions {
   uint64_t seed = 42;  ///< Seed for the Algorithm 3 samplers.
   /// Worker threads for the whole offline pipeline (feature mining + the
   /// per-graph SIP bound columns); 0 means ThreadPool::DefaultThreads(),
-  /// 1 builds fully inline. The build pool is forwarded to the miner only
-  /// when miner.num_threads and miner.pool are both left at their defaults;
-  /// an explicit miner setting wins. The built index is bit-identical at
-  /// every thread count: per-graph RNGs are forked sequentially up front
-  /// and every parallel phase merges per-item slots in input order.
+  /// 1 builds fully inline. The miner runs at this width unless
+  /// miner.num_threads is set. The built index is bit-identical at every
+  /// thread count: per-graph RNGs are forked sequentially up front and every
+  /// parallel phase merges per-item slots in input order.
   uint32_t num_threads = 0;
-  /// Caller-owned pool to build on (not owned; must outlive the call).
-  /// Overrides num_threads.
-  ThreadPool* pool = nullptr;
 };
 
 /// Build-time statistics (Figure 12(c)/(d) report these).

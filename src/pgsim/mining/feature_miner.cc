@@ -170,22 +170,19 @@ Result<FeatureSet> MineFeatures(const std::vector<Graph>& database,
     feature_plans.push_back(CompileMatchPlan(f.graph));
   }
 
-  // Signature gate inputs: one per-vertex signature set per database graph
-  // (built once, reused by every candidate's support scan) and one per
+  // Signature cover-test inputs: one per-vertex signature set per database
+  // graph (built once, reused by every candidate's support scan) and one per
   // accepted feature (pattern side of the subfeature containment tests).
-  // Cover-test failures prove zero embeddings, so gated skips cannot change
+  // Cover-test failures prove zero embeddings, so the skips cannot change
   // the mined set — they only shrink isomorphism_tests.
-  std::vector<QuerySignature> db_sigs;
+  std::vector<QuerySignature> db_sigs(database.size());
+  for (size_t gi = 0; gi < database.size(); ++gi) {
+    db_sigs[gi] = BuildQuerySignature(database[gi]);
+  }
   std::vector<QuerySignature> feature_sigs;
-  if (options.use_signatures) {
-    db_sigs.resize(database.size());
-    for (size_t gi = 0; gi < database.size(); ++gi) {
-      db_sigs[gi] = BuildQuerySignature(database[gi]);
-    }
-    feature_sigs.reserve(out.features.capacity());
-    for (const Feature& f : out.features) {
-      feature_sigs.push_back(BuildQuerySignature(f.graph));
-    }
+  feature_sigs.reserve(out.features.capacity());
+  for (const Feature& f : out.features) {
+    feature_sigs.push_back(BuildQuerySignature(f.graph));
   }
 
   Vf2Options emb_options;
@@ -195,7 +192,7 @@ Result<FeatureSet> MineFeatures(const std::vector<Graph>& database,
   // Worker resolution: each level fans its per-parent enumeration and
   // per-candidate scoring across the pool and merges slots in input order,
   // so the mined feature set is bit-identical at every thread count.
-  const ScopedPool scoped_pool(options.num_threads, options.pool);
+  const ScopedPool scoped_pool(options.num_threads);
   ThreadPool* workers = scoped_pool.get();
 
   for (uint32_t level = 2; !frontier.empty(); ++level) {
@@ -317,16 +314,13 @@ Result<FeatureSet> MineFeatures(const std::vector<Graph>& database,
       // One plan per candidate, reused across its whole parent support (and
       // one scratch for every enumeration/test this candidate runs).
       const MatchPlan cand_plan = CompileMatchPlan(cand.graph);
-      const QuerySignature cand_sig =
-          options.use_signatures ? BuildQuerySignature(cand.graph)
-                                 : QuerySignature{};
+      const QuerySignature cand_sig = BuildQuerySignature(cand.graph);
       Vf2Scratch vf2;
       // Support and alpha-qualified support.
       std::vector<uint32_t> support;
       size_t alpha_qualified = 0;
       for (uint32_t gi : cand.parent_support) {
-        if (options.use_signatures &&
-            !SignatureCoverTest(cand.graph, cand_sig.view(), database[gi],
+        if (!SignatureCoverTest(cand.graph, cand_sig.view(), database[gi],
                                 db_sigs[gi].view())) {
           continue;  // provably zero embeddings: skip the (uncounted) VF2
         }
@@ -356,8 +350,7 @@ Result<FeatureSet> MineFeatures(const std::vector<Graph>& database,
         for (size_t pi = 0; pi < out.features.size(); ++pi) {
           const Feature& prior = out.features[pi];
           if (prior.graph.NumEdges() >= cand.graph.NumEdges()) continue;
-          if (options.use_signatures &&
-              !SignatureCoverTest(prior.graph, feature_sigs[pi].view(),
+          if (!SignatureCoverTest(prior.graph, feature_sigs[pi].view(),
                                   cand.graph, cand_sig.view())) {
             continue;  // cover fail ⟹ prior ⊄ cand: same branch, no VF2
           }
@@ -418,9 +411,7 @@ Result<FeatureSet> MineFeatures(const std::vector<Graph>& database,
       out.features.push_back(std::move(f));
       frontier.push_back(&out.features.back());
       feature_plans.push_back(CompileMatchPlan(out.features.back().graph));
-      if (options.use_signatures) {
-        feature_sigs.push_back(BuildQuerySignature(out.features.back().graph));
-      }
+      feature_sigs.push_back(BuildQuerySignature(out.features.back().graph));
     }
   }
 

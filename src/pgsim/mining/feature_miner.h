@@ -34,8 +34,6 @@
 
 namespace pgsim {
 
-class ThreadPool;
-
 /// Mining thresholds and caps. Defaults mirror the paper's defaults
 /// (alpha = beta = gamma = 0.15) at laptop scale.
 struct FeatureMinerOptions {
@@ -60,14 +58,6 @@ struct FeatureMinerOptions {
   /// feature set is bit-identical at every thread count: parallel phases fan
   /// out per-parent / per-candidate work items and merge them in input order.
   uint32_t num_threads = 0;
-  /// Caller-owned pool (not owned; must outlive the call). Overrides
-  /// num_threads; PMI::Build threads its build pool through here.
-  ThreadPool* pool = nullptr;
-  /// Run the signature cover test before each containment VF2 call (support
-  /// counting and subfeature tests). The test is sound — a failure proves
-  /// zero embeddings — so the mined feature set is bit-identical either way;
-  /// only `isomorphism_tests` (work actually done) shrinks.
-  bool use_signatures = true;
 };
 
 /// One mined feature: its graph and support list Df (indices into Dc).

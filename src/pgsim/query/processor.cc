@@ -90,11 +90,6 @@ std::string QueryOptionsFingerprint(const QueryOptions& options) {
   fp.AddU64(options.verifier.max_total_embeddings);
   fp.AddU64(options.verifier.exact.max_terms);
   fp.AddU64(options.verifier.exact.max_shannon_nodes);
-  fp.AddU32(options.structural.max_count);
-  fp.AddU32(options.structural.max_query_count);
-  fp.AddBool(options.structural.exact_check);
-  fp.AddBool(options.use_structural_filter);
-  fp.AddBool(options.use_probabilistic_pruning);
   fp.AddU32(static_cast<uint32_t>(options.verify_mode));
   fp.AddU64(options.seed);
   return fp.bytes();
@@ -303,23 +298,21 @@ Result<std::shared_ptr<const CompiledQuery>> QueryProcessor::CompileQuery(
 
   // ---- Relaxed-query match plans and vertex signatures. ----
   // One compiled MatchPlan per rq, seeded rarest-database-label-first, and
-  // (with the gate on) one QuerySignature per rq: the pattern side of every
-  // exact check, PrepareQuery test and stage-3 candidate of this query.
+  // one QuerySignature per rq: the pattern side of every exact check,
+  // PrepareQuery test and stage-3 candidate of this query.
   MatchPlanOptions plan_options;
   plan_options.label_freq = &db_label_freq_;
   compiled->plans.reserve(relaxed.size());
   for (const Graph& rq : relaxed) {
     compiled->plans.push_back(CompileMatchPlan(rq, plan_options));
   }
-  if (options.use_signatures && sigs_ != nullptr) {
-    compiled->sigs.reserve(relaxed.size());
-    for (const Graph& rq : relaxed) {
-      compiled->sigs.push_back(BuildQuerySignature(rq));
-    }
+  compiled->sigs.reserve(relaxed.size());
+  for (const Graph& rq : relaxed) {
+    compiled->sigs.push_back(BuildQuerySignature(rq));
   }
 
   // ---- Stage-1 input: q's feature embedding counts. ----
-  if (options.use_structural_filter && structural_ != nullptr) {
+  if (structural_ != nullptr) {
     WallTimer counting_timer;
     compiled->counts = structural_->ComputeQueryCounts(
         q, &local.structural_detail.isomorphism_tests, &ctx->filter_scratch);
@@ -328,7 +321,7 @@ Result<std::shared_ptr<const CompiledQuery>> QueryProcessor::CompileQuery(
   }
 
   // ---- Stage-2 input: feature/rq relations + bound program. ----
-  if (options.use_probabilistic_pruning && pmi_ != nullptr) {
+  if (pmi_ != nullptr) {
     WallTimer prepare_timer;
     ProbabilisticPruner pruner(pmi_, options.pruner);
     pruner.PrepareQuery(relaxed, &compiled->plans);
@@ -398,19 +391,17 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
   }
   const CompiledQuery& cq = *job->compiled;
   local.num_relaxed_queries = cq.relaxed.size();
-  const bool gated = options.use_signatures && sigs_ != nullptr;
 
   // ---- Stage 1: structural pruning (Theorem 1). ----
   WallTimer structural_timer;
   std::vector<uint32_t>& sc_q = job->structural_candidates;
-  if (options.use_structural_filter && structural_ != nullptr) {
+  if (structural_ != nullptr) {
     // CompileQuery's feature counting (zero on a cache hit) joins the
     // filter's own tests and time.
     const StructuralFilterStats counting = local.structural_detail;
     structural_->Filter(q, cq.relaxed, options.delta, &sc_q,
                         &ctx->filter_scratch, &local.structural_detail,
-                        &cq.counts, nullptr, &cq.plans,
-                        gated ? sigs_ : nullptr, gated ? &cq.sigs : nullptr);
+                        &cq.counts, nullptr, &cq.plans, sigs_, &cq.sigs);
     local.structural_detail.isomorphism_tests += counting.isomorphism_tests;
     local.structural_detail.seconds += counting.seconds;
     // The exact check's signature rejections are whole VF2 calls avoided.
@@ -431,7 +422,7 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
   WallTimer prob_timer;
   Rng& rng = ctx->rng;
   std::vector<uint32_t>& to_verify = job->to_verify;
-  if (options.use_probabilistic_pruning && pmi_ != nullptr) {
+  if (pmi_ != nullptr) {
     ProbabilisticPruner pruner(pmi_, options.pruner);
     pruner.PrepareFromCache(cq.prepared);
     for (size_t ci = 0; ci < sc_q.size(); ++ci) {
@@ -498,16 +489,11 @@ void QueryProcessor::VerifyCandidate(const QueryOptions& options,
   const auto& db = *database_;
   const uint32_t gi = job->to_verify[k];
   const CompiledQuery& cq = *job->compiled;
-  // Signature gate: armed exactly when CompileQuery built rq signatures
-  // (use_signatures on and an index exists). The gate never changes the
-  // similarity events, so verdicts are identical with it on or off.
+  // Signature gate: refutes barren (rq, candidate) pairs before their VF2
+  // call. It never changes the similarity events, so it only saves work.
   SignatureGate gate;
-  const SignatureGate* gate_ptr = nullptr;
-  if (options.use_signatures && sigs_ != nullptr) {
-    gate.target = sigs_->ForGraph(gi);
-    gate.rq = &cq.sigs;
-    gate_ptr = &gate;
-  }
+  gate.target = sigs_->ForGraph(gi);
+  gate.rq = &cq.sigs;
   const auto accumulate_gate_counters = [job, scratch] {
     job->sig_pairs_rejected.fetch_add(scratch->sig_pairs_rejected,
                                       std::memory_order_relaxed);
@@ -526,7 +512,7 @@ void QueryProcessor::VerifyCandidate(const QueryOptions& options,
       return;
     }
     const Result<double> ssp = ExactSubgraphSimilarityProbability(
-        db[gi], cq.relaxed, options.verifier, scratch, &cq.plans, gate_ptr);
+        db[gi], cq.relaxed, options.verifier, scratch, &cq.plans, &gate);
     accumulate_gate_counters();
     if (!ssp.ok()) {
       job->verdicts[k] = kVerifyFailed;
@@ -541,7 +527,7 @@ void QueryProcessor::VerifyCandidate(const QueryOptions& options,
   control.cancel_after_draws = job->cancel_after_draws;
   const Result<SampleOutcome> out = SampleSubgraphSimilarityProbabilityAnytime(
       db[gi], cq.relaxed, options.verifier, &job->verify_rngs[k], scratch,
-      &cq.plans, control, gate_ptr);
+      &cq.plans, control, &gate);
   accumulate_gate_counters();
   if (!out.ok()) {
     job->verdicts[k] = kVerifyFailed;
@@ -784,7 +770,7 @@ std::vector<BatchQueryResult> QueryProcessor::QueryBatch(
     roots[qi].fn = &FrontTask;
     roots[qi].ctx = &graphs[qi];
   }
-  const SchedulerRunStats sched_stats = sched->Run(roots, /*root_chunk=*/1);
+  const SchedulerRunStats sched_stats = sched->Run(roots);
 
   if (batch_stats != nullptr) {
     BatchStats agg;

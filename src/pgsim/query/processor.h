@@ -53,36 +53,24 @@ class TaskScheduler;
 class QueryProcessor;
 struct QueryContext;
 
-/// One T-PS query's parameters and pipeline switches.
+/// One T-PS query's parameters. Every field can change the answer set; the
+/// stages a query runs are fixed by which indexes its processor holds.
 struct QueryOptions {
   uint32_t delta = 2;      ///< subgraph distance threshold δ
   double epsilon = 0.5;    ///< probability threshold ε
   RelaxationOptions relax;
   ProbPrunerOptions pruner;
   VerifierOptions verifier;
-  StructuralFilterOptions structural;
-  bool use_structural_filter = true;
-  bool use_probabilistic_pruning = true;
   /// Verification engine for surviving candidates.
   enum class VerifyMode { kSample, kExact };
   VerifyMode verify_mode = VerifyMode::kSample;
-  /// Neighborhood-signature gating ahead of stage 3 (and the structural
-  /// filter's exact check): barren (rq, candidate) pairs are rejected before
-  /// their VF2 call and survivors enumerate against signature-built
-  /// candidate domains. Prunes provably fruitless work only — answers are
-  /// bit-identical on or off, so the knob is excluded from the options
-  /// fingerprint. Ignored when the processor has no signature index.
-  bool use_signatures = true;
   uint64_t seed = 7;       ///< randomized pruning/verification seed
 };
 
-/// Equality-exact byte fingerprint of every QueryOptions field that can
-/// change a query's ANSWER SET (delta, epsilon, relaxation caps, pruner
-/// config, verifier config, structural knobs, stage switches, verify mode,
-/// seed). The execution-only knob use_signatures is excluded — answers are
-/// bit-identical across it by the determinism doctrine, so it must not
-/// fragment the answer-cache key space. (Scheduler widths are not
-/// QueryOptions at all.)
+/// Equality-exact byte fingerprint of every QueryOptions field (delta,
+/// epsilon, relaxation caps, pruner config, verifier config, verify mode,
+/// seed): two option sets share answer-cache entries exactly when they are
+/// equal. (Scheduler widths are not QueryOptions at all.)
 std::string QueryOptionsFingerprint(const QueryOptions& options);
 
 /// Per-stage counters and timings of one query run.
@@ -130,9 +118,8 @@ struct QueryStats {
   double queue_wait_seconds = 0.0; ///< admission -> front-stages start
                                    ///< (QueryBatch only)
   double total_seconds = 0.0;      ///< whole pipeline wall clock
-  /// Signature-gate work avoidance (0 with signatures off or no index).
-  /// Deterministic like the counter fields above; spans the structural
-  /// filter's exact check and stage 3.
+  /// Signature-gate work avoidance. Deterministic like the counter fields
+  /// above; spans the structural filter's exact check and stage 3.
   size_t sig_pairs_rejected = 0;       ///< (rq, candidate) pairs refuted
   size_t domain_candidates_pruned = 0; ///< bucket vertices pruned from domains
   size_t vf2_calls_avoided = 0;        ///< matcher invocations skipped
@@ -145,8 +132,8 @@ struct QueryStats {
 /// function of q's exact form (GraphExactKey), the QueryOptions and the
 /// processor's index state, so QueryBatch shares one instance among
 /// byte-identical queries. Built once by QueryProcessor::CompileQuery and
-/// immutable afterwards; fields a switched-off stage does not use stay
-/// empty.
+/// immutable afterwards; the fields of a stage whose index the processor
+/// lacks stay empty.
 struct CompiledQuery {
   /// U in generation order. The order is part of the contract: set-cover
   /// ties and the per-candidate verification draws follow it.
@@ -154,7 +141,8 @@ struct CompiledQuery {
   /// One MatchPlan per rq, in U's order, seeded rarest-database-label-first;
   /// shared by the filter's exact check, PrepareQuery and stage 3.
   std::vector<MatchPlan> plans;
-  /// One QuerySignature per rq, in U's order, when the signature gate runs.
+  /// One QuerySignature per rq, in U's order: the signature gate's pattern
+  /// side.
   std::vector<QuerySignature> sigs;
   /// q's feature embedding counts, when the structural filter runs.
   QueryFeatureCounts counts;
@@ -439,16 +427,15 @@ struct BatchQueryResult {
 class QueryProcessor {
  public:
   /// `pmi` and/or `structural` may be null; the corresponding stage is then
-  /// skipped regardless of QueryOptions. Aggregates the database's vertex
+  /// skipped. Aggregates the database's vertex
   /// label frequencies once — every query's relaxed-query match plans are
   /// compiled against them (rarest-label-first seed ordering). A processor
   /// built through this overload is read-only: AddGraph/RemoveGraph error.
   ///
   /// `signatures`, when non-null, is the caller's neighborhood-signature
   /// index (not owned; DurableDatabase passes its loaded one). When null the
-  /// processor builds and owns one from the database — the signature gate is
-  /// always available, QueryOptions::use_signatures picks per query whether
-  /// it runs.
+  /// processor builds and owns one from the database, so the signature gate
+  /// runs on every query.
   QueryProcessor(const std::vector<ProbabilisticGraph>* database,
                  const ProbabilisticMatrixIndex* pmi,
                  const StructuralFilter* structural,
@@ -587,8 +574,8 @@ class QueryProcessor {
   ProbabilisticMatrixIndex* mutable_pmi_ = nullptr;
   StructuralFilter* mutable_structural_ = nullptr;
   /// Neighborhood-signature index: `sigs_` is the serving pointer (owned or
-  /// caller-supplied), `mutable_sigs_` its writable alias for the mutation
-  /// API. Tombstones and Compact renumbering track the PMI exactly.
+  /// caller-supplied; non-null whenever the database is), `mutable_sigs_`
+  /// its writable alias for the mutation API. Tombstones and Compact renumbering track the PMI exactly.
   std::unique_ptr<SignatureIndex> owned_sigs_;
   const SignatureIndex* sigs_ = nullptr;
   SignatureIndex* mutable_sigs_ = nullptr;

@@ -106,7 +106,7 @@ StructuralFilter StructuralFilter::Build(
     }
   }
 
-  const ScopedPool pool(options.num_threads, options.pool);
+  const ScopedPool pool(options.num_threads);
   ForEachIndex(pool.get(), certain_db.size(), 4, [&](size_t gi) {
     Vf2Scratch vf2;  // reused across this graph's features
     for (uint32_t fi : features_of_graph[gi]) {

@@ -46,8 +46,6 @@
 
 namespace pgsim {
 
-class ThreadPool;
-
 /// Build/query knobs.
 struct StructuralFilterOptions {
   /// Saturating embedding-count cap per (feature, graph); saturated counts
@@ -61,9 +59,6 @@ struct StructuralFilterOptions {
   /// ThreadPool::DefaultThreads(), 1 builds inline. Every cell is written by
   /// exactly one worker, so the table is bit-identical at any thread count.
   uint32_t num_threads = 0;
-  /// Caller-owned pool for Build() (not owned; must outlive the call).
-  /// Overrides num_threads.
-  ThreadPool* pool = nullptr;
 };
 
 /// Per-query stage statistics.

@@ -313,7 +313,7 @@ void ServingCore::RunWave() {
   TaskScheduler::Task root;
   root.fn = &ServingCore::PumpTask;
   root.ctx = this;
-  sched_->Run(&root, 1, /*root_chunk=*/1);
+  sched_->Run(&root, 1);
 }
 
 void ServingCore::ApplyMutation(const std::shared_ptr<TicketState>& ticket) {

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/graph/vf2.h"
 #include "pgsim/index/pmi.h"
@@ -114,15 +119,60 @@ TEST(AnswerCacheTest, LruEviction) {
 }
 
 TEST(AnswerCacheTest, OptionsFingerprintSeparatesAnswerAffectingKnobs) {
-  QueryOptions a;
-  QueryOptions b = a;
-  EXPECT_EQ(QueryOptionsFingerprint(a), QueryOptionsFingerprint(b));
-  b.epsilon = 0.75;
-  EXPECT_NE(QueryOptionsFingerprint(a), QueryOptionsFingerprint(b));
-  // Execution-only knobs must NOT fragment the key space.
-  QueryOptions c = a;
-  c.use_signatures = !a.use_signatures;
-  EXPECT_EQ(QueryOptionsFingerprint(a), QueryOptionsFingerprint(c));
+  const QueryOptions base;
+  const std::string base_fp = QueryOptionsFingerprint(base);
+  EXPECT_EQ(QueryOptionsFingerprint(QueryOptions(base)), base_fp);
+  // Every settable QueryOptions value, each changed alone: all of them can
+  // change the answer set, so each must move the fingerprint.
+  using Tweak = void (*)(QueryOptions*);
+  const std::vector<std::pair<const char*, Tweak>> tweaks = {
+      {"delta", [](QueryOptions* o) { o->delta += 1; }},
+      {"epsilon", [](QueryOptions* o) { o->epsilon = 0.75; }},
+      {"relax.max_combinations",
+       [](QueryOptions* o) { o->relax.max_combinations += 1; }},
+      {"relax.max_relaxed_graphs",
+       [](QueryOptions* o) { o->relax.max_relaxed_graphs += 1; }},
+      {"pruner.selection",
+       [](QueryOptions* o) { o->pruner.selection = BoundSelection::kRandom; }},
+      {"pruner.sip_variant",
+       [](QueryOptions* o) { o->pruner.sip_variant = SipVariant::kSimple; }},
+      {"pruner.lsim.gradient_iterations",
+       [](QueryOptions* o) { o->pruner.lsim.gradient_iterations += 1; }},
+      {"pruner.lsim.projection_sweeps",
+       [](QueryOptions* o) { o->pruner.lsim.projection_sweeps += 1; }},
+      {"pruner.lsim.rounding_factor",
+       [](QueryOptions* o) { o->pruner.lsim.rounding_factor += 0.5; }},
+      {"verifier.mc.xi", [](QueryOptions* o) { o->verifier.mc.xi = 0.2; }},
+      {"verifier.mc.tau", [](QueryOptions* o) { o->verifier.mc.tau = 0.2; }},
+      {"verifier.mc.min_samples",
+       [](QueryOptions* o) { o->verifier.mc.min_samples += 1; }},
+      {"verifier.mc.max_samples",
+       [](QueryOptions* o) { o->verifier.mc.max_samples += 1; }},
+      {"verifier.adaptive",
+       [](QueryOptions* o) { o->verifier.adaptive = !o->verifier.adaptive; }},
+      {"verifier.max_embeddings_per_rq",
+       [](QueryOptions* o) { o->verifier.max_embeddings_per_rq += 1; }},
+      {"verifier.max_total_embeddings",
+       [](QueryOptions* o) { o->verifier.max_total_embeddings += 1; }},
+      {"verifier.exact.max_terms",
+       [](QueryOptions* o) { o->verifier.exact.max_terms += 1; }},
+      {"verifier.exact.max_shannon_nodes",
+       [](QueryOptions* o) { o->verifier.exact.max_shannon_nodes += 1; }},
+      {"verify_mode",
+       [](QueryOptions* o) {
+         o->verify_mode = QueryOptions::VerifyMode::kExact;
+       }},
+      {"seed", [](QueryOptions* o) { o->seed += 1; }},
+  };
+  ASSERT_EQ(tweaks.size(), 20u);
+  std::set<std::string> seen = {base_fp};
+  for (const auto& [name, tweak] : tweaks) {
+    QueryOptions changed = base;
+    tweak(&changed);
+    const std::string fp = QueryOptionsFingerprint(changed);
+    EXPECT_NE(fp, base_fp) << name;
+    EXPECT_TRUE(seen.insert(fp).second) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

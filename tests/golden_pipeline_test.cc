@@ -95,9 +95,7 @@ TEST(GoldenPipelineTest, FullPipelineAnswersArePinned) {
   // on an owned or a caller-owned TaskScheduler (the steal schedule must not
   // move an answer) — for the query list as is and for a batch holding
   // every query twice (the second copy shares the first one's compiled
-  // query), and with the signature gate on or off (its cover test is sound,
-  // so skipped matcher calls can never change an answer or a pinned
-  // candidate count).
+  // query).
   const auto expect_golden = [](size_t i, const std::vector<uint32_t>& answers,
                                 const QueryStats& stats,
                                 const std::string& where) {
@@ -110,51 +108,47 @@ TEST(GoldenPipelineTest, FullPipelineAnswersArePinned) {
     EXPECT_EQ(stats.num_relaxed_queries, golden.num_relaxed_queries)
         << i << " " << where;
   };
-  for (const bool use_signatures : {true, false}) {
-    options.use_signatures = use_signatures;
-    const std::string sig = " signatures=" + std::to_string(use_signatures);
 
-    QueryContext ctx;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      QueryStats stats;
-      const auto answers = processor.Query(queries[i], options, &ctx, &stats);
-      ASSERT_TRUE(answers.ok()) << "query " << i;
-      expect_golden(i, *answers, stats, "Query(ctx)" + sig);
+  QueryContext ctx;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryStats stats;
+    const auto answers = processor.Query(queries[i], options, &ctx, &stats);
+    ASSERT_TRUE(answers.ok()) << "query " << i;
+    expect_golden(i, *answers, stats, "Query(ctx)");
+  }
+
+  for (const bool duplicated : {false, true}) {
+    // Duplicated layout: [q0, q0, q1, q1, ...]; slot j holds query
+    // j / copies.
+    const size_t copies = duplicated ? 2 : 1;
+    std::vector<Graph> batch_queries;
+    for (const Graph& q : queries) {
+      for (size_t c = 0; c < copies; ++c) batch_queries.push_back(q);
     }
-
-    for (const bool duplicated : {false, true}) {
-      // Duplicated layout: [q0, q0, q1, q1, ...]; slot j holds query
-      // j / copies.
-      const size_t copies = duplicated ? 2 : 1;
-      std::vector<Graph> batch_queries;
-      for (const Graph& q : queries) {
-        for (size_t c = 0; c < copies; ++c) batch_queries.push_back(q);
-      }
-      for (const uint32_t width : {1u, 4u}) {
-        for (const bool caller_owned : {false, true}) {
-          TaskScheduler sched(width);
-          BatchOptions batch;
-          if (caller_owned) {
-            batch.stealer = &sched;
-          } else {
-            batch.num_threads = width;
-          }
-          BatchStats batch_stats;
-          const auto results =
-              processor.QueryBatch(batch_queries, options, batch, &batch_stats);
-          ASSERT_EQ(results.size(), batch_queries.size());
-          EXPECT_EQ(batch_stats.compiled_cache_hits +
-                        batch_stats.compiled_cache_misses,
-                    batch_queries.size());
-          const std::string where =
-              "QueryBatch width=" + std::to_string(width) +
-              " caller_owned=" + std::to_string(caller_owned) +
-              " duplicated=" + std::to_string(duplicated) + sig;
-          for (size_t j = 0; j < results.size(); ++j) {
-            ASSERT_TRUE(results[j].status.ok()) << "slot " << j;
-            expect_golden(j / copies, results[j].answers, results[j].stats,
-                          where + " slot=" + std::to_string(j));
-          }
+    for (const uint32_t width : {1u, 4u}) {
+      for (const bool caller_owned : {false, true}) {
+        TaskScheduler sched(width);
+        BatchOptions batch;
+        if (caller_owned) {
+          batch.stealer = &sched;
+        } else {
+          batch.num_threads = width;
+        }
+        BatchStats batch_stats;
+        const auto results =
+            processor.QueryBatch(batch_queries, options, batch, &batch_stats);
+        ASSERT_EQ(results.size(), batch_queries.size());
+        EXPECT_EQ(batch_stats.compiled_cache_hits +
+                      batch_stats.compiled_cache_misses,
+                  batch_queries.size());
+        const std::string where =
+            "QueryBatch width=" + std::to_string(width) +
+            " caller_owned=" + std::to_string(caller_owned) +
+            " duplicated=" + std::to_string(duplicated);
+        for (size_t j = 0; j < results.size(); ++j) {
+          ASSERT_TRUE(results[j].status.ok()) << "slot " << j;
+          expect_golden(j / copies, results[j].answers, results[j].stats,
+                        where + " slot=" + std::to_string(j));
         }
       }
     }

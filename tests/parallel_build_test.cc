@@ -99,7 +99,7 @@ TEST(ParallelBuildTest, PmiSerializationIsByteIdenticalAtAnyThreadCount) {
   const std::string sequential_bytes = SaveToBytes(sequential, "seq");
   ASSERT_FALSE(sequential_bytes.empty());
 
-  for (uint32_t threads : {2u, 4u, ThreadPool::DefaultThreads()}) {
+  for (uint32_t threads : {2u, 3u, 4u, ThreadPool::DefaultThreads()}) {
     const auto parallel =
         ProbabilisticMatrixIndex::Build(db, FastBuild(threads)).value();
     EXPECT_EQ(parallel.stats().build_threads, threads);
@@ -107,18 +107,6 @@ TEST(ParallelBuildTest, PmiSerializationIsByteIdenticalAtAnyThreadCount) {
               sequential_bytes)
         << "threads=" << threads;
   }
-}
-
-TEST(ParallelBuildTest, PmiBuildOnCallerOwnedPoolMatches) {
-  const auto db = MakeDatabase(9002);
-  const std::string sequential_bytes = SaveToBytes(
-      ProbabilisticMatrixIndex::Build(db, FastBuild(1)).value(), "seq2");
-  ThreadPool pool(3);
-  PmiBuildOptions build = FastBuild(0);
-  build.pool = &pool;
-  const auto parallel = ProbabilisticMatrixIndex::Build(db, build).value();
-  EXPECT_EQ(parallel.stats().build_threads, 3u);
-  EXPECT_EQ(SaveToBytes(parallel, "pool"), sequential_bytes);
 }
 
 TEST(ParallelBuildTest, StructuralFilterTableIsIdenticalAtAnyThreadCount) {

@@ -5,7 +5,7 @@
 // rq-plan compile audit, steady-state no-scratch-growth, the PGSG snapshot
 // round trip with truncation/bit-flip sweeps, the durable-database
 // sig-snapshot paths, and the end-to-end pin that the fig09-style pipeline
-// avoids VF2 calls with signatures on while answering bit-identically.
+// avoids VF2 calls while answering identically at every batch width.
 
 #include <gtest/gtest.h>
 
@@ -440,11 +440,13 @@ TEST(FilterGateTest, SurvivorsIdenticalAndVf2CallsDrop) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end pipeline: answers bit-identical on/off, VF2 calls avoided
-// (the fig09-workload counter pin), counters surfaced through QueryStats.
+// End-to-end pipeline: VF2 calls avoided (the fig09-workload counter pin),
+// counters surfaced through QueryStats/BatchStats, answers identical across
+// entry points and widths. Gated-vs-ungated identity is pinned above at the
+// component level (filter survivors, Exact/Sample probabilities).
 // ---------------------------------------------------------------------------
 
-TEST(ProcessorSignatureTest, AnswersBitIdenticalAndVf2CallsAvoided) {
+TEST(ProcessorSignatureTest, GateAvoidsVf2Calls) {
   const auto db = SmallDatabase(501, 16);
   std::vector<Graph> certain;
   for (const auto& g : db) certain.push_back(g.certain());
@@ -459,36 +461,27 @@ TEST(ProcessorSignatureTest, AnswersBitIdenticalAndVf2CallsAvoided) {
   const QueryProcessor processor(&db, &pmi, &filter);
 
   Rng rng(502);
-  QueryOptions on, off;
-  on.delta = off.delta = 1;
-  on.epsilon = off.epsilon = 0.2;
-  on.use_signatures = true;
-  off.use_signatures = false;
-  // Execution-only knob: must not fragment the answer-cache key space.
-  EXPECT_EQ(QueryOptionsFingerprint(on), QueryOptionsFingerprint(off));
+  QueryOptions options;
+  options.delta = 1;
+  options.epsilon = 0.2;
 
   uint64_t avoided_total = 0;
   for (int trial = 0; trial < 6; ++trial) {
     const auto q = ExtractQuery(certain[rng.Uniform(certain.size())], 4, &rng);
     ASSERT_TRUE(q.ok());
-    QueryStats stats_on, stats_off;
-    const auto ans_on = processor.Query(*q, on, &stats_on);
-    const auto ans_off = processor.Query(*q, off, &stats_off);
-    ASSERT_TRUE(ans_on.ok());
-    ASSERT_TRUE(ans_off.ok());
-    EXPECT_EQ(*ans_on, *ans_off) << "trial " << trial;
-    EXPECT_EQ(stats_on.structural_candidates, stats_off.structural_candidates);
-    EXPECT_EQ(stats_on.verification_candidates,
-              stats_off.verification_candidates);
-    EXPECT_EQ(stats_off.vf2_calls_avoided, 0u);
-    EXPECT_EQ(stats_off.sig_pairs_rejected, 0u);
-    avoided_total += stats_on.vf2_calls_avoided;
+    QueryStats stats;
+    ASSERT_TRUE(processor.Query(*q, options, &stats).ok());
+    // The filter's exact-check rejections are part of the query's total.
+    EXPECT_GE(stats.vf2_calls_avoided,
+              stats.structural_detail.sig_pairs_rejected)
+        << "trial " << trial;
+    avoided_total += stats.vf2_calls_avoided;
   }
   // The counter pin: the workload must demonstrably skip matcher calls.
   EXPECT_GT(avoided_total, 0u);
 }
 
-TEST(ProcessorSignatureTest, BatchAnswersIdenticalAcrossWidthsAndSettings) {
+TEST(ProcessorSignatureTest, BatchAnswersIdenticalAcrossWidths) {
   const auto db = SmallDatabase(511, 12);
   std::vector<Graph> certain;
   for (const auto& g : db) certain.push_back(g.certain());
@@ -508,38 +501,31 @@ TEST(ProcessorSignatureTest, BatchAnswersIdenticalAcrossWidthsAndSettings) {
     queries.push_back(
         ExtractQuery(certain[rng.Uniform(certain.size())], 4, &rng).value());
   }
+  QueryOptions options;
+  options.delta = 1;
+  options.epsilon = 0.2;
 
-  std::vector<std::vector<std::vector<uint32_t>>> all;
-  uint64_t avoided_on = 0;
-  for (const bool use_sigs : {true, false}) {
-    for (const uint32_t width : {1u, 4u}) {
-      QueryOptions options;
-      options.delta = 1;
-      options.epsilon = 0.2;
-      options.use_signatures = use_sigs;
-      BatchOptions batch;
-      batch.num_threads = width;
-      BatchStats stats;
-      const auto results =
-          processor.QueryBatch(queries, options, batch, &stats);
-      std::vector<std::vector<uint32_t>> answers;
-      for (const auto& r : results) {
-        ASSERT_TRUE(r.status.ok());
-        answers.push_back(r.answers);
-      }
-      all.push_back(std::move(answers));
-      if (use_sigs) {
-        avoided_on += stats.vf2_calls_avoided;
-      } else {
-        EXPECT_EQ(stats.vf2_calls_avoided, 0u);
-        EXPECT_EQ(stats.sig_pairs_rejected, 0u);
-      }
+  std::vector<std::vector<uint32_t>> inline_answers;
+  for (const Graph& q : queries) {
+    inline_answers.push_back(processor.Query(q, options).value());
+  }
+  std::vector<size_t> avoided;
+  for (const uint32_t width : {1u, 4u}) {
+    BatchOptions batch;
+    batch.num_threads = width;
+    BatchStats stats;
+    const auto results = processor.QueryBatch(queries, options, batch, &stats);
+    ASSERT_EQ(results.size(), queries.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].status.ok());
+      EXPECT_EQ(results[i].answers, inline_answers[i])
+          << "width " << width << " query " << i;
     }
+    avoided.push_back(stats.vf2_calls_avoided);
   }
-  for (size_t i = 1; i < all.size(); ++i) {
-    EXPECT_EQ(all[0], all[i]) << "variant " << i;
-  }
-  EXPECT_GT(avoided_on, 0u);
+  // The gate counters are deterministic: equal at every width.
+  EXPECT_EQ(avoided[0], avoided[1]);
+  EXPECT_GT(avoided[0], 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -50,16 +50,16 @@ TEST(TaskSchedulerTest, RunExecutesEveryRootExactlyOnce) {
   }
 }
 
-TEST(TaskSchedulerTest, ChunkedRootClaimCoversAllRoots) {
+TEST(TaskSchedulerTest, RootClaimCoversAllRoots) {
   TaskScheduler sched(4);
   CountCtx ctx;
   std::vector<Task> roots(100);
   for (Task& t : roots) t = Task{&CountTask, &ctx, 0, 0};
-  const SchedulerRunStats stats = sched.Run(roots, /*root_chunk=*/16);
+  const SchedulerRunStats stats = sched.Run(roots);
   EXPECT_EQ(ctx.executed.load(), roots.size());
-  EXPECT_GE(stats.root_claims, 1u);
-  // 100 roots at chunk 16 need at least ceil(100/16) = 7 claims.
-  EXPECT_GE(stats.root_claims, 7u);
+  EXPECT_EQ(stats.tasks_executed, roots.size());
+  // Roots are claimed, never stolen: nothing was spawned onto a deque.
+  EXPECT_EQ(stats.tasks_stolen, 0u);
 }
 
 struct TreeCtx {
