@@ -375,27 +375,6 @@ void BM_Verify_Smp(benchmark::State& state) {
 }
 BENCHMARK(BM_Verify_Smp);
 
-void BM_Verify_SmpAdaptive(benchmark::State& state) {
-  // Ablation partner of BM_Verify_Smp: the DKLR stopping rule stops as soon
-  // as enough canonical hits accumulate — early for high-SSP candidates
-  // (delta = 2 here makes the union probability large), at the cap for
-  // low-SSP ones.
-  const ProbabilisticGraph g = MakeBenchGraph(47, 18);
-  const Graph q = MakeQuery(g.certain(), 5, 48);
-  const auto relaxed = GenerateRelaxedQueries(q, 2).value();
-  VerifierOptions options;
-  options.adaptive = true;
-  options.mc.xi = 0.1;
-  options.mc.tau = 0.15;
-  options.mc.max_samples = 2000;
-  Rng rng(49);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SampleSubgraphSimilarityProbability(g, relaxed, options, &rng));
-  }
-}
-BENCHMARK(BM_Verify_SmpAdaptive);
-
 // ---- Verification engine (PR 3): the fig09 verification workload ----
 // ---- (Section-6 generator defaults, one qsize-8 query at delta=2,   ----
 // ---- candidates from the full filter chain) driven through the      ----
@@ -563,8 +542,7 @@ void BM_TopK_Query(benchmark::State& state) {
 }
 BENCHMARK(BM_TopK_Query);
 
-// ---- Adjacency layout ablation: flat CSR scan vs the pre-refactor ----
-// ---- vector-of-vectors layout rebuilt from the same graph.          ----
+// ---- Adjacency scan over the flat CSR layout. ----
 
 Graph MakeScanGraph() {
   SyntheticOptions options;
@@ -591,27 +569,6 @@ void BM_Adjacency_ScanCsr(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * 2 * g.NumEdges());
 }
 BENCHMARK(BM_Adjacency_ScanCsr);
-
-void BM_Adjacency_ScanNestedVectors(benchmark::State& state) {
-  // The seed repo's layout: one heap-allocated vector per vertex.
-  const Graph g = MakeScanGraph();
-  std::vector<std::vector<AdjEntry>> nested(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    const auto adj = g.Neighbors(v);
-    nested[v].assign(adj.begin(), adj.end());
-  }
-  for (auto _ : state) {
-    uint64_t acc = 0;
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      for (const AdjEntry& a : nested[v]) {
-        acc += a.neighbor + g.EdgeLabel(a.edge);
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * 2 * g.NumEdges());
-}
-BENCHMARK(BM_Adjacency_ScanNestedVectors);
 
 // ---- Batch throughput: QueryBatch at 1, 4, and hardware threads. ----
 
@@ -665,7 +622,7 @@ void BM_QueryBatch_Throughput(benchmark::State& state) {
     BatchStats stats;
     const auto results =
         processor.QueryBatch(f.queries, options, batch, &stats);
-    answers += stats.total_answers;
+    answers += stats.totals.answers;
     benchmark::DoNotOptimize(results.data());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * f.queries.size());
@@ -819,7 +776,7 @@ void BM_QueryBatch_Skew(benchmark::State& state) {
     BatchStats stats;
     const auto results =
         processor.QueryBatch(queries, options, batch, &stats);
-    answers += stats.total_answers;
+    answers += stats.totals.answers;
     stolen += stats.tasks_stolen;
     benchmark::DoNotOptimize(results.data());
   }
@@ -952,7 +909,7 @@ void BM_AnswerCache_HitRate(benchmark::State& state) {
   for (auto _ : state) {
     BatchStats stats;
     const auto results = processor.QueryBatch(f.queries, options, batch, &stats);
-    hits += stats.answer_cache_hits;
+    hits += stats.answer_cache.hits;
     benchmark::DoNotOptimize(results.data());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * f.queries.size());

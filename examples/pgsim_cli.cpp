@@ -295,6 +295,17 @@ bool FileExists(const std::string& path) {
   return true;
 }
 
+// The signature-gate and dropped-candidate lines `query` and `serve` share.
+void PrintQueryCounters(const QueryCounters& c) {
+  std::printf(
+      "signatures: %zu pairs rejected, %zu domain candidates pruned, "
+      "%zu VF2 calls avoided\n",
+      c.sig_pairs_rejected, c.domain_candidates_pruned, c.vf2_calls_avoided);
+  std::printf(
+      "dropped candidates: %zu verification failures, %zu cancelled\n",
+      c.verification_failures, c.cancelled_candidates);
+}
+
 int CmdQuery(int argc, char** argv) {
   if (RejectUnknownFlags(
           argc, argv,
@@ -411,7 +422,7 @@ int CmdQuery(int argc, char** argv) {
     std::printf(
         "pass %zu: %zu queries, %zu answers, %zu failed | %u thread(s) | "
         "wall %.1f ms, cpu %.1f ms, %.1f queries/s\n",
-        pass, batch_stats.num_queries, batch_stats.total_answers,
+        pass, batch_stats.num_queries, batch_stats.totals.answers,
         batch_stats.failed_queries, batch_stats.threads_used,
         batch_stats.wall_seconds * 1e3, batch_stats.sum_query_seconds * 1e3,
         batch_stats.wall_seconds > 0.0
@@ -431,20 +442,15 @@ int CmdQuery(int argc, char** argv) {
                 batch_stats.compiled_cache_hits +
                     batch_stats.compiled_cache_misses,
                 batch_stats.cache_seconds * 1e3);
-    std::printf(
-        "signatures: %zu pairs rejected, %zu domain candidates pruned, "
-        "%zu VF2 calls avoided\n",
-        batch_stats.sig_pairs_rejected, batch_stats.domain_candidates_pruned,
-        batch_stats.vf2_calls_avoided);
-    std::printf(
-        "dropped candidates: %zu verification failures, %zu cancelled\n",
-        batch_stats.verification_failures, batch_stats.cancelled_candidates);
+    PrintQueryCounters(batch_stats.totals);
     if (answer_cache_on) {
       std::printf(
           "answer-cache: %zu hits, %zu misses (%zu stale), %zu evictions | "
           "%zu entries, epoch %llu\n",
-          batch_stats.answer_cache_hits, batch_stats.answer_cache_misses,
-          batch_stats.answer_cache_stale, batch_stats.answer_cache_evictions,
+          static_cast<size_t>(batch_stats.answer_cache.hits),
+          static_cast<size_t>(batch_stats.answer_cache.misses),
+          static_cast<size_t>(batch_stats.answer_cache.stale),
+          static_cast<size_t>(batch_stats.answer_cache.evictions),
           answer_cache.size(),
           static_cast<unsigned long long>(processor->epoch()));
     }
@@ -589,16 +595,7 @@ int CmdServe(int argc, char** argv) {
       static_cast<unsigned long long>(st.waves),
       static_cast<unsigned long long>(st.mutations_applied),
       static_cast<unsigned long long>(st.double_resolves));
-  std::printf(
-      "signatures: %llu pairs rejected, %llu domain candidates pruned, "
-      "%llu VF2 calls avoided\n",
-      static_cast<unsigned long long>(st.sig_pairs_rejected),
-      static_cast<unsigned long long>(st.domain_candidates_pruned),
-      static_cast<unsigned long long>(st.vf2_calls_avoided));
-  std::printf(
-      "dropped candidates: %llu verification failures, %llu cancelled\n",
-      static_cast<unsigned long long>(st.verification_failures),
-      static_cast<unsigned long long>(st.cancelled_candidates));
+  PrintQueryCounters(st.totals);
   return 0;
 }
 

@@ -85,7 +85,6 @@ std::string QueryOptionsFingerprint(const QueryOptions& options) {
   fp.AddDouble(options.verifier.mc.tau);
   fp.AddU64(options.verifier.mc.min_samples);
   fp.AddU64(options.verifier.mc.max_samples);
-  fp.AddBool(options.verifier.adaptive);
   fp.AddU64(options.verifier.max_embeddings_per_rq);
   fp.AddU64(options.verifier.max_total_embeddings);
   fp.AddU64(options.verifier.exact.max_terms);
@@ -787,16 +786,7 @@ std::vector<BatchQueryResult> QueryProcessor::QueryBatch(
         ++agg.failed_queries;
         continue;
       }
-      agg.total_answers += r.answers.size();
-      agg.structural_candidates += r.stats.structural_candidates;
-      agg.pruned_by_upper += r.stats.pruned_by_upper;
-      agg.accepted_by_lower += r.stats.accepted_by_lower;
-      agg.verification_candidates += r.stats.verification_candidates;
-      agg.verification_failures += r.stats.verification_failures;
-      agg.cancelled_candidates += r.stats.cancelled_candidates;
-      agg.sig_pairs_rejected += r.stats.sig_pairs_rejected;
-      agg.domain_candidates_pruned += r.stats.domain_candidates_pruned;
-      agg.vf2_calls_avoided += r.stats.vf2_calls_avoided;
+      agg.totals += r.stats;
       agg.sum_queue_wait_seconds += r.stats.queue_wait_seconds;
       agg.sum_query_seconds += r.stats.total_seconds;
       agg.cache_seconds += r.stats.cache_seconds;
@@ -805,10 +795,10 @@ std::vector<BatchQueryResult> QueryProcessor::QueryBatch(
         cache.HitsAndMisses();
     if (batch.answer_cache != nullptr) {
       const AnswerCacheStats after = batch.answer_cache->stats();
-      agg.answer_cache_hits = after.hits - answer_before.hits;
-      agg.answer_cache_misses = after.misses - answer_before.misses;
-      agg.answer_cache_stale = after.stale - answer_before.stale;
-      agg.answer_cache_evictions = after.evictions - answer_before.evictions;
+      agg.answer_cache.hits = after.hits - answer_before.hits;
+      agg.answer_cache.misses = after.misses - answer_before.misses;
+      agg.answer_cache.stale = after.stale - answer_before.stale;
+      agg.answer_cache.evictions = after.evictions - answer_before.evictions;
     }
     agg.wall_seconds = wall_timer.Seconds();
     *batch_stats = agg;

@@ -3,7 +3,9 @@
 //
 // QueryProcessor owns nothing: it composes a database, an optional PMI and
 // an optional structural filter into the three-stage pipeline and reports
-// per-stage statistics (the quantities plotted in Figures 9–13).
+// per-stage statistics (the quantities plotted in Figures 9–13). The
+// deterministic counts are one QueryCounters per query; QueryBatch sums them
+// into BatchStats::totals and ServingCore into ServingStats::totals.
 //
 // One execution path runs the pipeline. A query is three steps:
 //   1. RunFrontStages — answer-cache probe -> the query's CompiledQuery
@@ -73,28 +75,17 @@ struct QueryOptions {
 /// equal. (Scheduler widths are not QueryOptions at all.)
 std::string QueryOptionsFingerprint(const QueryOptions& options);
 
-/// Per-stage counters and timings of one query run.
+/// The deterministic per-query counts of the filter-and-verify pipeline
+/// (the quantities the paper plots in Figures 10-12). Defined once here:
+/// QueryStats carries one query's, BatchStats and ServingStats sum them with
+/// operator+=, and the CLI prints them with one function.
 ///
-/// Counter fields (`database_size` .. `answers`) are deterministic: equal
-/// for the same (query, options, index) regardless of batching, scheduler,
-/// thread count, or cache hits — with one documented exception: on a
-/// compiled-query cache hit `structural_detail.isomorphism_tests` omits the
-/// query feature-counting tests the shared CompiledQuery already paid for.
-/// `isomorphism_tests` counts VF2 invocations actually executed; pairs
-/// dismissed by the pre-VF2 label-multiset/size guard are not counted (see
-/// StructuralFilterStats), so the value shrank when the guard landed while
-/// every survivor set stayed identical.
-/// `*_seconds` fields are wall-clock measurements and vary run to run.
-/// On a scheduler (QueryBatch, ServingCore) `verify_seconds` spans
-/// front-stages-end to last-verdict wall clock (candidate tasks may queue
-/// behind other queries' work), and under QueryBatch `queue_wait_seconds`
-/// reports how long the query waited from batch admission to the start of
-/// its front stages.
-/// Offline index-build timings live with the index itself: PmiStats
-/// (mining/bounds/total seconds, build_threads) and
-/// StructuralFilterBuildStats (seconds, counted_pairs, build_threads).
-struct QueryStats {
-  size_t database_size = 0;
+/// Every field is equal for the same (query, options, index) regardless of
+/// entry point, batching, scheduler width or compiled-query cache hits. A
+/// whole-answer AnswerCache hit skips the pipeline, so only `answers` is
+/// nonzero. For every query that was not cancelled, structural_candidates ==
+/// pruned_by_upper + accepted_by_lower + verification_candidates.
+struct QueryCounters {
   size_t num_relaxed_queries = 0;      ///< |U| after isomorphism dedup
   size_t structural_candidates = 0;    ///< |SCq|
   size_t pruned_by_upper = 0;          ///< Pruning 1 hits
@@ -105,6 +96,49 @@ struct QueryStats {
                                        ///< cancellation point (their anytime
                                        ///< intervals live in QueryJob)
   size_t answers = 0;
+  /// Signature-gate work avoidance, over the structural filter's exact
+  /// check and stage 3.
+  size_t sig_pairs_rejected = 0;       ///< (rq, candidate) pairs refuted
+  size_t domain_candidates_pruned = 0; ///< bucket vertices pruned from domains
+  size_t vf2_calls_avoided = 0;        ///< matcher invocations skipped;
+                                       ///< each refuted pair skips one, so
+                                       ///< this equals sig_pairs_rejected
+
+  QueryCounters& operator+=(const QueryCounters& o) {
+    num_relaxed_queries += o.num_relaxed_queries;
+    structural_candidates += o.structural_candidates;
+    pruned_by_upper += o.pruned_by_upper;
+    accepted_by_lower += o.accepted_by_lower;
+    verification_candidates += o.verification_candidates;
+    verification_failures += o.verification_failures;
+    cancelled_candidates += o.cancelled_candidates;
+    answers += o.answers;
+    sig_pairs_rejected += o.sig_pairs_rejected;
+    domain_candidates_pruned += o.domain_candidates_pruned;
+    vf2_calls_avoided += o.vf2_calls_avoided;
+    return *this;
+  }
+};
+
+/// One query run: its QueryCounters plus flags and timings.
+///
+/// `database_size` and `structural_detail` are deterministic like the
+/// counters, with one documented exception: on a compiled-query cache hit
+/// `structural_detail.isomorphism_tests` omits the query feature-counting
+/// tests the shared CompiledQuery already paid for. `isomorphism_tests`
+/// counts VF2 invocations actually executed; pairs dismissed by the pre-VF2
+/// label-multiset/size guard are not counted (see StructuralFilterStats).
+/// `*_seconds` fields are wall-clock measurements and vary run to run.
+/// On a scheduler (QueryBatch, ServingCore) `verify_seconds` spans
+/// front-stages-end to last-verdict wall clock (candidate tasks may queue
+/// behind other queries' work), and under QueryBatch `queue_wait_seconds`
+/// reports how long the query waited from batch admission to the start of
+/// its front stages.
+/// Offline index-build timings live with the index itself: PmiStats
+/// (mining/bounds/total seconds, build_threads) and
+/// StructuralFilterBuildStats (seconds, counted_pairs, build_threads).
+struct QueryStats : QueryCounters {
+  size_t database_size = 0;
   bool compiled_cache_hit = false; ///< CompiledQuery shared from an earlier
                                    ///< byte-identical query of the batch
   bool answer_cache_hit = false;   ///< whole answer set served from the
@@ -118,11 +152,6 @@ struct QueryStats {
   double queue_wait_seconds = 0.0; ///< admission -> front-stages start
                                    ///< (QueryBatch only)
   double total_seconds = 0.0;      ///< whole pipeline wall clock
-  /// Signature-gate work avoidance. Deterministic like the counter fields
-  /// above; spans the structural filter's exact check and stage 3.
-  size_t sig_pairs_rejected = 0;       ///< (rq, candidate) pairs refuted
-  size_t domain_candidates_pruned = 0; ///< bucket vertices pruned from domains
-  size_t vf2_calls_avoided = 0;        ///< matcher invocations skipped
   StructuralFilterStats structural_detail;
 };
 
@@ -353,7 +382,8 @@ struct BatchOptions {
   AnswerCache* answer_cache = nullptr;
 };
 
-/// Aggregated counters over one QueryBatch call. Every QueryBatch shares
+/// Aggregated counters over one QueryBatch call. `totals` is the sum of the
+/// successful queries' QueryCounters. Every QueryBatch shares
 /// CompiledQuery objects among byte-identical queries through a cache keyed
 /// by GraphExactKey; each query that reaches compilation probes it once.
 /// hits + misses (the probe count) is deterministic; the hit/miss split is
@@ -369,29 +399,14 @@ struct BatchOptions {
 struct BatchStats {
   size_t num_queries = 0;
   size_t failed_queries = 0;          ///< queries whose pipeline errored
-  size_t total_answers = 0;
-  size_t structural_candidates = 0;   ///< summed |SCq|
-  size_t pruned_by_upper = 0;
-  size_t accepted_by_lower = 0;
-  size_t verification_candidates = 0;
-  size_t verification_failures = 0;   ///< candidates the verifier dropped
-                                      ///< (e.g. over an embedding cap)
-  size_t cancelled_candidates = 0;    ///< candidates stopped at a
-                                      ///< cancellation point
+  QueryCounters totals;               ///< summed over successful queries
   size_t compiled_cache_hits = 0;     ///< CompiledQuery shared (duplicates)
   size_t compiled_cache_misses = 0;   ///< CompiledQuery built
-  /// Summed per-query signature-gate counters (see QueryStats).
-  size_t sig_pairs_rejected = 0;
-  size_t domain_candidates_pruned = 0;
-  size_t vf2_calls_avoided = 0;
   /// Cross-batch AnswerCache counter deltas over this batch (all zero when
   /// BatchOptions::answer_cache is null). hits are whole queries whose
   /// answer set was served without running the pipeline; stale counts
   /// entries dropped because the index epoch moved.
-  size_t answer_cache_hits = 0;
-  size_t answer_cache_misses = 0;
-  size_t answer_cache_stale = 0;
-  size_t answer_cache_evictions = 0;
+  AnswerCacheStats answer_cache;
   uint32_t threads_used = 0;          ///< scheduler width the batch ran on
   size_t tasks_executed = 0;          ///< scheduler tasks (front + verify)
   size_t tasks_stolen = 0;            ///< tasks run by a non-spawning worker

@@ -408,16 +408,8 @@ Result<SampleOutcome> SampleSubgraphSimilarityProbabilityAnytime(
   scratch->dead_stamp.assign(m, 0);
   scratch->stamp = 0;
 
-  // Fixed-N (Algorithm 5) or adaptive stopping (DKLR extension): adaptive
-  // runs until `target_hits` canonical hits or mc.max_samples draws.
+  // Fixed-N stopping (Algorithm 5).
   const uint64_t fixed_n = options.mc.NumSamples();
-  const uint64_t target_hits =
-      options.adaptive
-          ? 1 + static_cast<uint64_t>(std::ceil(
-                    4.0 * (M_E - 2.0) *
-                    std::log(2.0 / std::clamp(options.mc.xi, 1e-9, 0.999)) /
-                    (options.mc.tau * options.mc.tau)))
-          : 0;
   const Span<const uint32_t> active(active_ne.data(), active_ne.size());
   std::vector<uint64_t>& world_words = scratch->world_words;
   // Canonicity strategy: direct superset scans win while a row is a couple
@@ -438,11 +430,7 @@ Result<SampleOutcome> SampleSubgraphSimilarityProbabilityAnytime(
       completed = false;
       break;
     }
-    if (options.adaptive) {
-      if (cnt >= target_hits || drawn >= options.mc.max_samples) break;
-    } else if (drawn >= fixed_n) {
-      break;
-    }
+    if (drawn >= fixed_n) break;
     ++drawn;
     // Line 4: choose i with probability Pr(Bfi)/V.
     const double target = rng->UniformDouble() * v;

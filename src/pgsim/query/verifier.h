@@ -61,12 +61,6 @@ namespace pgsim {
 struct VerifierOptions {
   /// Algorithm 5 sample count parameters: N = 4 ln(2/ξ) / τ².
   MonteCarloParams mc;
-  /// Adaptive stopping (extension, not in the paper): instead of the fixed
-  /// N, sample until the canonical-hit count reaches
-  /// ceil(1 + 4(e-2) ln(2/ξ) / τ²) or mc.max_samples draws — the first
-  /// stage of the Dagum-Karp-Luby-Ross optimal approximation scheme. Cheap
-  /// when the SSP is large, automatically thorough when it is tiny.
-  bool adaptive = false;
   /// Cap on embeddings enumerated per relaxed query, inclusive: a relaxed
   /// query with exactly this many embeddings is fine; one more errors.
   /// 0 = uncapped.

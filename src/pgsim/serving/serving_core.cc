@@ -123,7 +123,7 @@ QueryTicket ServingCore::Submit(const Graph& query, const SubmitOptions& opts) {
   ticket->cancel_after_draws = opts.cancel_after_draws;
   ticket->deadline = DeadlineAfterMs(opts.deadline_ms);
   ticket->callback = opts.callback;
-  n_submitted_.fetch_add(1, std::memory_order_relaxed);
+  Count(&ServingStats::submitted);
 
   // Answer-cache probe on the admission path: a hit is exact and effectively
   // free, so it resolves here — the query never queues, never sheds, and
@@ -139,14 +139,13 @@ QueryTicket ServingCore::Submit(const Graph& query, const SubmitOptions& opts) {
       probe = options_.answer_cache->Find(query, fingerprint_, epoch);
     }
     if (probe.hit) {
-      n_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServingStats::answer_cache_hits);
       ServeResult r;
       r.answers = *probe.answers;
       r.stats.answer_cache_hit = true;
       r.stats.answers = r.answers.size();
       r.epoch = epoch;
-      n_completed_.fetch_add(1, std::memory_order_relaxed);
-      ticket->Resolve(std::move(r));
+      Resolve(ticket.get(), std::move(r));
       return QueryTicket(ticket);
     }
   }
@@ -164,7 +163,7 @@ QueryTicket ServingCore::SubmitAddGraph(ProbabilisticGraph graph,
   ticket->priority = opts.priority;
   ticket->deadline = DeadlineAfterMs(opts.deadline_ms);
   ticket->callback = opts.callback;
-  n_submitted_.fetch_add(1, std::memory_order_relaxed);
+  Count(&ServingStats::submitted);
   return SubmitTicket(std::move(ticket));
 }
 
@@ -177,7 +176,7 @@ QueryTicket ServingCore::SubmitRemoveGraph(uint32_t graph_id,
   ticket->priority = opts.priority;
   ticket->deadline = DeadlineAfterMs(opts.deadline_ms);
   ticket->callback = opts.callback;
-  n_submitted_.fetch_add(1, std::memory_order_relaxed);
+  Count(&ServingStats::submitted);
   return SubmitTicket(std::move(ticket));
 }
 
@@ -187,8 +186,7 @@ QueryTicket ServingCore::SubmitTicket(std::shared_ptr<TicketState> ticket) {
     // Dead on arrival: resolve without consuming a queue slot.
     ServeResult r;
     r.status = Status::DeadlineExceeded("deadline expired before admission");
-    n_deadline_.fetch_add(1, std::memory_order_relaxed);
-    ticket->Resolve(std::move(r));
+    Resolve(ticket.get(), std::move(r));
     return handle;
   }
 
@@ -215,7 +213,7 @@ QueryTicket ServingCore::SubmitTicket(std::shared_ptr<TicketState> ticket) {
   if (outcome == Queue::PushOutcome::kAdmittedEvicted) {
     ResolveShed(evicted);
   }
-  n_admitted_.fetch_add(1, std::memory_order_relaxed);
+  Count(&ServingStats::admitted);
   if (ticket->deadline != NoDeadline()) ArmDeadline(ticket);
   work_cv_.notify_one();
   return handle;
@@ -227,10 +225,7 @@ void ServingCore::ResolveShed(const std::shared_ptr<TicketState>& ticket) {
   r.status = Status::Unavailable(
       "admission queue full; retry after ~" +
       std::to_string(r.retry_after_seconds) + "s");
-  n_shed_.fetch_add(1, std::memory_order_relaxed);
-  if (!ticket->Resolve(std::move(r))) {
-    n_double_resolves_.fetch_add(1, std::memory_order_relaxed);
-  }
+  Resolve(ticket.get(), std::move(r), &ServingStats::shed);
 }
 
 // ---------------------------------------------------------------------------
@@ -309,7 +304,7 @@ void ServingCore::RunWave() {
   std::shared_lock<std::shared_mutex> lock(proc_->live_mu_);
   // Read by wave tasks — ordered by the scheduler's run boundary.
   run_.answer_epoch = proc_->epoch();
-  n_waves_.fetch_add(1, std::memory_order_relaxed);
+  Count(&ServingStats::waves);
   TaskScheduler::Task root;
   root.fn = &ServingCore::PumpTask;
   root.ctx = this;
@@ -320,10 +315,7 @@ void ServingCore::ApplyMutation(const std::shared_ptr<TicketState>& ticket) {
   ServeResult r;
   if (ticket->cancel.IsCancelled() || DeadlineExpired(ticket->deadline)) {
     r.status = Status::DeadlineExceeded("mutation expired while queued");
-    n_deadline_.fetch_add(1, std::memory_order_relaxed);
-    if (!ticket->Resolve(std::move(r))) {
-      n_double_resolves_.fetch_add(1, std::memory_order_relaxed);
-    }
+    Resolve(ticket.get(), std::move(r));
     drain_.RecordCompletion(clock_.Seconds());
     return;
   }
@@ -341,26 +333,9 @@ void ServingCore::ApplyMutation(const std::shared_ptr<TicketState>& ticket) {
     r.status = options_.remove(ticket->remove_id);
   }
   r.epoch = proc_->epoch();
-  RecordResolution(r.status, /*degraded=*/false);
-  if (r.status.ok()) n_mutations_.fetch_add(1, std::memory_order_relaxed);
-  if (!ticket->Resolve(std::move(r))) {
-    n_double_resolves_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (r.status.ok()) Count(&ServingStats::mutations_applied);
+  Resolve(ticket.get(), std::move(r));
   drain_.RecordCompletion(clock_.Seconds());
-}
-
-void ServingCore::RecordResolution(const Status& status, bool degraded) {
-  if (!status.ok()) {
-    if (status.code() == StatusCode::kDeadlineExceeded) {
-      n_deadline_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      n_failed_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else if (degraded) {
-    n_degraded_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    n_completed_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -422,6 +397,7 @@ void ServingCore::ResolveQuery(TicketQuery* query) {
   if (!job.status.ok()) {
     r.status = job.status;
   } else if (job.cancelled.load(std::memory_order_relaxed)) {
+    r.stats = job.stats;
     if (t->allow_degraded) {
       // The anytime answer: graphs verified similar so far, plus one
       // interval per candidate the cancellation cut off. Candidates the
@@ -439,31 +415,14 @@ void ServingCore::ResolveQuery(TicketQuery* query) {
         ia.samples = job.intervals[k].drawn;
         r.intervals.push_back(ia);
       }
-      r.stats = job.stats;
     } else {
       r.status = Status::DeadlineExceeded("query cancelled at deadline");
-      r.stats = job.stats;
     }
   } else {
     r.answers = std::move(job.answers);
     r.stats = job.stats;
   }
-  // Every branch above filled r.stats from job.stats; fold the per-query
-  // counters into the core totals before resolving.
-  n_sig_pairs_rejected_.fetch_add(r.stats.sig_pairs_rejected,
-                                  std::memory_order_relaxed);
-  n_domain_candidates_pruned_.fetch_add(r.stats.domain_candidates_pruned,
-                                        std::memory_order_relaxed);
-  n_vf2_calls_avoided_.fetch_add(r.stats.vf2_calls_avoided,
-                                 std::memory_order_relaxed);
-  n_verification_failures_.fetch_add(r.stats.verification_failures,
-                                     std::memory_order_relaxed);
-  n_cancelled_candidates_.fetch_add(r.stats.cancelled_candidates,
-                                    std::memory_order_relaxed);
-  RecordResolution(r.status, r.degraded);
-  if (!t->Resolve(std::move(r))) {
-    n_double_resolves_.fetch_add(1, std::memory_order_relaxed);
-  }
+  Resolve(t, std::move(r));
   drain_.RecordCompletion(clock_.Seconds());
 }
 
@@ -471,29 +430,34 @@ void ServingCore::ResolveQuery(TicketQuery* query) {
 // Stats
 // ---------------------------------------------------------------------------
 
+void ServingCore::Resolve(TicketState* ticket, ServeResult r,
+                          uint64_t ServingStats::*outcome) {
+  if (outcome == nullptr) {
+    if (r.status.ok()) {
+      outcome = r.degraded ? &ServingStats::degraded : &ServingStats::completed;
+    } else if (r.status.code() == StatusCode::kDeadlineExceeded) {
+      outcome = &ServingStats::deadline_exceeded;
+    } else {
+      outcome = &ServingStats::failed;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++(stats_.*outcome);
+    stats_.totals += r.stats;
+  }
+  // Outside stats_mu_: the ticket's callback may Submit again.
+  if (!ticket->Resolve(std::move(r))) Count(&ServingStats::double_resolves);
+}
+
+void ServingCore::Count(uint64_t ServingStats::*counter) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++(stats_.*counter);
+}
+
 ServingStats ServingCore::stats() const {
-  ServingStats s;
-  s.submitted = n_submitted_.load(std::memory_order_relaxed);
-  s.admitted = n_admitted_.load(std::memory_order_relaxed);
-  s.answer_cache_hits = n_cache_hits_.load(std::memory_order_relaxed);
-  s.shed = n_shed_.load(std::memory_order_relaxed);
-  s.completed = n_completed_.load(std::memory_order_relaxed);
-  s.degraded = n_degraded_.load(std::memory_order_relaxed);
-  s.deadline_exceeded = n_deadline_.load(std::memory_order_relaxed);
-  s.failed = n_failed_.load(std::memory_order_relaxed);
-  s.mutations_applied = n_mutations_.load(std::memory_order_relaxed);
-  s.waves = n_waves_.load(std::memory_order_relaxed);
-  s.double_resolves = n_double_resolves_.load(std::memory_order_relaxed);
-  s.sig_pairs_rejected =
-      n_sig_pairs_rejected_.load(std::memory_order_relaxed);
-  s.domain_candidates_pruned =
-      n_domain_candidates_pruned_.load(std::memory_order_relaxed);
-  s.vf2_calls_avoided = n_vf2_calls_avoided_.load(std::memory_order_relaxed);
-  s.verification_failures =
-      n_verification_failures_.load(std::memory_order_relaxed);
-  s.cancelled_candidates =
-      n_cancelled_candidates_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return stats_;
 }
 
 }  // namespace pgsim

@@ -52,6 +52,11 @@
 //   shared lock and resolves a hit instantly — the query never queues.
 //   Misses are filled by the pipeline as usual; degraded or cancelled
 //   results are never stored (see FinishQuery).
+//
+// Counters:
+//   Every ticket resolves through ServingCore::Resolve, which counts its
+//   outcome and adds its ServeResult::stats (one QueryCounters per query)
+//   to ServingStats::totals under a leaf lock; stats() returns a copy.
 
 #pragma once
 
@@ -188,8 +193,8 @@ class QueryTicket {
   std::shared_ptr<TicketState> state_;
 };
 
-/// Monotonic counters, written with relaxed atomics (never torn) and
-/// snapshotted by ServingCore::stats().
+/// Monotonic counters, kept under ServingCore's stats lock and copied out
+/// by ServingCore::stats().
 struct ServingStats {
   uint64_t submitted = 0;          ///< all tickets handed out
   uint64_t admitted = 0;           ///< entered the queue
@@ -202,13 +207,9 @@ struct ServingStats {
   uint64_t mutations_applied = 0;  ///< AddGraph/RemoveGraph applied
   uint64_t waves = 0;              ///< scheduler runs the dispatcher issued
   uint64_t double_resolves = 0;    ///< Resolve calls dropped (MUST stay 0)
-  /// Signature-gate totals across all resolved queries (see QueryStats).
-  uint64_t sig_pairs_rejected = 0;
-  uint64_t domain_candidates_pruned = 0;
-  uint64_t vf2_calls_avoided = 0;
-  /// Dropped-candidate totals across all resolved queries (see QueryStats).
-  uint64_t verification_failures = 0;
-  uint64_t cancelled_candidates = 0;
+  /// Summed ServeResult::stats of every resolved ticket (see QueryCounters);
+  /// Submit-time answer-cache hits count their answers.
+  QueryCounters totals;
 };
 
 /// Construction knobs.
@@ -255,7 +256,7 @@ class ServingCore {
   /// destructor calls it.
   void Shutdown();
 
-  /// Point-in-time counter snapshot (relaxed reads; monotonic).
+  /// Point-in-time copy of the counters (monotonic).
   ServingStats stats() const;
 
   /// Current admission queue depth (advisory).
@@ -273,7 +274,12 @@ class ServingCore {
   void ApplyMutation(const std::shared_ptr<TicketState>& ticket);
   void ResolveQuery(TicketQuery* query);
   void ResolveShed(const std::shared_ptr<TicketState>& ticket);
-  void RecordResolution(const Status& status, bool degraded);
+  /// The one resolution point of every ticket: counts `outcome` (null = by
+  /// status), folds r.stats into stats_.totals, then resolves.
+  void Resolve(TicketState* ticket, ServeResult r,
+               uint64_t ServingStats::*outcome = nullptr);
+  /// Adds one to a ServingStats counter.
+  void Count(uint64_t ServingStats::*counter);
   void ArmDeadline(const std::shared_ptr<TicketState>& ticket);
 
   QueryProcessor* proc_;
@@ -310,23 +316,9 @@ class ServingCore {
       deadlines_;
   bool deadline_shutdown_ = false;
 
-  // Counters (relaxed; snapshotted by stats()).
-  std::atomic<uint64_t> n_submitted_{0};
-  std::atomic<uint64_t> n_admitted_{0};
-  std::atomic<uint64_t> n_cache_hits_{0};
-  std::atomic<uint64_t> n_shed_{0};
-  std::atomic<uint64_t> n_completed_{0};
-  std::atomic<uint64_t> n_degraded_{0};
-  std::atomic<uint64_t> n_deadline_{0};
-  std::atomic<uint64_t> n_failed_{0};
-  std::atomic<uint64_t> n_mutations_{0};
-  std::atomic<uint64_t> n_waves_{0};
-  std::atomic<uint64_t> n_double_resolves_{0};
-  std::atomic<uint64_t> n_sig_pairs_rejected_{0};
-  std::atomic<uint64_t> n_domain_candidates_pruned_{0};
-  std::atomic<uint64_t> n_vf2_calls_avoided_{0};
-  std::atomic<uint64_t> n_verification_failures_{0};
-  std::atomic<uint64_t> n_cancelled_candidates_{0};
+  /// Counters. stats_mu_ is a leaf lock: it is never held across a call.
+  mutable std::mutex stats_mu_;
+  ServingStats stats_;
 
   std::thread dispatcher_;
   std::thread deadline_thread_;

@@ -148,8 +148,6 @@ TEST(AnswerCacheTest, OptionsFingerprintSeparatesAnswerAffectingKnobs) {
        [](QueryOptions* o) { o->verifier.mc.min_samples += 1; }},
       {"verifier.mc.max_samples",
        [](QueryOptions* o) { o->verifier.mc.max_samples += 1; }},
-      {"verifier.adaptive",
-       [](QueryOptions* o) { o->verifier.adaptive = !o->verifier.adaptive; }},
       {"verifier.max_embeddings_per_rq",
        [](QueryOptions* o) { o->verifier.max_embeddings_per_rq += 1; }},
       {"verifier.max_total_embeddings",
@@ -164,7 +162,7 @@ TEST(AnswerCacheTest, OptionsFingerprintSeparatesAnswerAffectingKnobs) {
        }},
       {"seed", [](QueryOptions* o) { o->seed += 1; }},
   };
-  ASSERT_EQ(tweaks.size(), 20u);
+  ASSERT_EQ(tweaks.size(), 19u);
   std::set<std::string> seen = {base_fp};
   for (const auto& [name, tweak] : tweaks) {
     QueryOptions changed = base;
@@ -234,16 +232,16 @@ TEST(AnswerCacheBatchTest, RepeatedBatchesHitAndMutationsInvalidate) {
   // Pass 1: all misses, cache fills.
   BatchStats stats1;
   const auto run1 = processor.QueryBatch(queries, options, batch, &stats1);
-  EXPECT_EQ(stats1.answer_cache_hits, 0u);
-  EXPECT_EQ(stats1.answer_cache_misses, queries.size());
+  EXPECT_EQ(stats1.answer_cache.hits, 0u);
+  EXPECT_EQ(stats1.answer_cache.misses, queries.size());
   EXPECT_EQ(answer_cache.size(), queries.size());
 
   // Pass 2: every query served from cache, answers bit-identical, stage
   // counters prove the pipeline was skipped.
   BatchStats stats2;
   const auto run2 = processor.QueryBatch(queries, options, batch, &stats2);
-  EXPECT_EQ(stats2.answer_cache_hits, queries.size());
-  EXPECT_EQ(stats2.answer_cache_misses, 0u);
+  EXPECT_EQ(stats2.answer_cache.hits, queries.size());
+  EXPECT_EQ(stats2.answer_cache.misses, 0u);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     ASSERT_TRUE(run2[qi].status.ok());
     EXPECT_EQ(run2[qi].answers, run1[qi].answers) << "query " << qi;
@@ -263,9 +261,9 @@ TEST(AnswerCacheBatchTest, RepeatedBatchesHitAndMutationsInvalidate) {
 
   BatchStats stats3;
   const auto run3 = processor.QueryBatch(queries, options, batch, &stats3);
-  EXPECT_EQ(stats3.answer_cache_hits, 0u);
-  EXPECT_EQ(stats3.answer_cache_stale, queries.size());
-  EXPECT_EQ(stats3.answer_cache_misses, queries.size());
+  EXPECT_EQ(stats3.answer_cache.hits, 0u);
+  EXPECT_EQ(stats3.answer_cache.stale, queries.size());
+  EXPECT_EQ(stats3.answer_cache.misses, queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     ASSERT_TRUE(run3[qi].status.ok());
     EXPECT_EQ(run3[qi].answers, run1[qi].answers) << "query " << qi;
@@ -275,7 +273,7 @@ TEST(AnswerCacheBatchTest, RepeatedBatchesHitAndMutationsInvalidate) {
   // Pass 4: refilled under the new epoch, hits resume.
   BatchStats stats4;
   const auto run4 = processor.QueryBatch(queries, options, batch, &stats4);
-  EXPECT_EQ(stats4.answer_cache_hits, queries.size());
+  EXPECT_EQ(stats4.answer_cache.hits, queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     EXPECT_EQ(run4[qi].answers, run1[qi].answers);
   }
@@ -298,7 +296,7 @@ TEST(AnswerCacheBatchTest, MultiWorkerBatchUsesTheCacheToo) {
   const auto run1 = processor.QueryBatch(queries, options, batch);
   BatchStats stats2;
   const auto run2 = processor.QueryBatch(queries, options, batch, &stats2);
-  EXPECT_EQ(stats2.answer_cache_hits, queries.size());
+  EXPECT_EQ(stats2.answer_cache.hits, queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     ASSERT_TRUE(run2[qi].status.ok());
     EXPECT_EQ(run2[qi].answers, run1[qi].answers) << "query " << qi;
@@ -356,12 +354,12 @@ TEST(AnswerCacheBatchTest, SymmetricQueryIsCachedInBatchAndServing) {
   BatchStats stats1;
   const auto run1 = processor.QueryBatch({cycle}, options, batch, &stats1);
   ASSERT_TRUE(run1[0].status.ok());
-  EXPECT_EQ(stats1.answer_cache_misses, 1u);
+  EXPECT_EQ(stats1.answer_cache.misses, 1u);
   EXPECT_EQ(batch_cache.size(), 1u);  // cacheable: the answer was stored
   BatchStats stats2;
   const auto run2 = processor.QueryBatch({cycle}, options, batch, &stats2);
   ASSERT_TRUE(run2[0].status.ok());
-  EXPECT_EQ(stats2.answer_cache_hits, 1u);
+  EXPECT_EQ(stats2.answer_cache.hits, 1u);
   EXPECT_TRUE(run2[0].stats.answer_cache_hit);
   EXPECT_EQ(run2[0].answers, run1[0].answers);
 

@@ -12,9 +12,13 @@
 #include "pgsim/index/pmi.h"
 #include "pgsim/query/processor.h"
 #include "pgsim/query/structural_filter.h"
+#include "test_util.h"
 
 namespace pgsim {
 namespace {
+
+using ::pgsim::testing::AddCounterFields;
+using ::pgsim::testing::CounterFields;
 
 struct Pipeline {
   std::vector<ProbabilisticGraph> db;
@@ -103,9 +107,50 @@ TEST(QueryBatchTest, MatchesSequentialQueryAtAnyThreadCount) {
     }
     EXPECT_EQ(stats.num_queries, queries.size());
     EXPECT_EQ(stats.failed_queries, 0u);
-    EXPECT_EQ(stats.total_answers, expected_answers);
+    EXPECT_EQ(stats.totals.answers, expected_answers);
     EXPECT_EQ(stats.threads_used, threads);
     EXPECT_GT(stats.wall_seconds, 0.0);
+  }
+}
+
+TEST(QueryBatchTest, TotalsAreTheFieldWiseSumOfPerQueryCounters) {
+  const Pipeline p = MakePipeline(2201);
+  const QueryProcessor processor(&p.db, &p.pmi, &p.filter);
+  std::vector<Graph> queries = MakeQueries(p, 2402, 6);
+  queries.push_back(queries[0]);  // duplicates share one CompiledQuery
+  queries.push_back(queries[3]);
+  const QueryOptions options = FastOptions();
+
+  for (uint32_t threads : {1u, 4u}) {
+    AnswerCache answer_cache;
+    BatchOptions batch;
+    batch.num_threads = threads;
+    batch.answer_cache = &answer_cache;
+    // Pass 0 runs the pipeline; pass 1 is served from the answer cache.
+    for (int pass = 0; pass < 2; ++pass) {
+      BatchStats stats;
+      const auto results =
+          processor.QueryBatch(queries, options, batch, &stats);
+      std::vector<size_t> sum;
+      for (size_t i = 0; i < results.size(); ++i) {
+        ASSERT_TRUE(results[i].status.ok());
+        const QueryStats& q = results[i].stats;
+        // Every structural candidate is pruned, accepted or verified.
+        EXPECT_EQ(q.structural_candidates, q.pruned_by_upper +
+                                               q.accepted_by_lower +
+                                               q.verification_candidates)
+            << "threads=" << threads << " pass " << pass << " query " << i;
+        EXPECT_EQ(q.answers, results[i].answers.size());
+        AddCounterFields(q, &sum);
+      }
+      EXPECT_EQ(CounterFields(stats.totals), sum)
+          << "threads=" << threads << " pass " << pass;
+      if (pass == 0) {
+        EXPECT_GT(stats.totals.structural_candidates, 0u);
+      } else {
+        EXPECT_EQ(stats.answer_cache.hits, queries.size());
+      }
+    }
   }
 }
 

@@ -138,8 +138,8 @@ TEST(ProcessorEdgeTest, VerificationFailuresAreCountedNotFatal) {
   batch.num_threads = 2;
   BatchStats batch_stats;
   processor.QueryBatch(queries, qo, batch, &batch_stats);
-  EXPECT_EQ(batch_stats.verification_failures, failures);
-  EXPECT_EQ(batch_stats.cancelled_candidates, cancelled);
+  EXPECT_EQ(batch_stats.totals.verification_failures, failures);
+  EXPECT_EQ(batch_stats.totals.cancelled_candidates, cancelled);
 
   QueryProcessor serving_processor(&db, nullptr, nullptr);
   ServingOptions serving;
@@ -150,7 +150,7 @@ TEST(ProcessorEdgeTest, VerificationFailuresAreCountedNotFatal) {
   for (const Graph& query : queries) tickets.push_back(core.Submit(query));
   for (QueryTicket& t : tickets) ASSERT_TRUE(t.Wait().status.ok());
   core.Shutdown();
-  EXPECT_EQ(core.stats().verification_failures, failures);
+  EXPECT_EQ(core.stats().totals.verification_failures, failures);
 }
 
 TEST(PrunerRandomLsimTest, RandomSelectionLsimIsValidLowerBound) {

@@ -4,8 +4,9 @@
 // cancellation (same seed + same cancel point => byte-identical partial
 // intervals across runs AND scheduler widths), overload shedding with
 // priority-aware eviction and retry-after hints, mutation interleaving with
-// epoch correctness, the admission-path answer cache, and the
-// degraded-results-are-never-cached guarantee.
+// epoch correctness, the admission-path answer cache, the
+// degraded-results-are-never-cached guarantee, and the ServingStats::totals
+// roll-up of every resolved ticket's counters.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +20,13 @@
 #include "pgsim/query/processor.h"
 #include "pgsim/query/structural_filter.h"
 #include "pgsim/serving/serving_core.h"
+#include "test_util.h"
 
 namespace pgsim {
 namespace {
+
+using ::pgsim::testing::AddCounterFields;
+using ::pgsim::testing::CounterFields;
 
 struct ServeSetup {
   std::vector<ProbabilisticGraph> db;
@@ -405,6 +410,64 @@ TEST(ServingCoreTest, AdmissionPathServesAnswerCacheHitsInstantly) {
   const ServingStats st = core.stats();
   EXPECT_EQ(st.answer_cache_hits, 1u);
   EXPECT_EQ(st.admitted, 1u);  // the hit never queued
+}
+
+TEST(ServingCoreTest, TotalsAreTheSumOfEveryResolvedQueryTicket) {
+  ServeSetup s = BuildServeSetup(9011, 6);
+  QueryProcessor processor(&s.db, &s.pmi, &s.filter);
+  AnswerCache cache;
+  ServingOptions so;
+  so.num_threads = 2;
+  so.query = ServeQueryOptions();
+  so.answer_cache = &cache;
+  ServingCore core(&processor, so);
+
+  // Four-edge subgraphs of database graphs: small enough to have answers.
+  Rng rng(9049);
+  std::vector<Graph> queries;
+  while (queries.size() < 4) {
+    auto q = ExtractQuery(s.certain[queries.size()], 4, &rng);
+    if (q.ok()) queries.push_back(std::move(q).value());
+  }
+  std::vector<QueryTicket> tickets;
+  for (const Graph& q : queries) tickets.push_back(core.Submit(q));
+  size_t most = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(tickets[i].Wait().status.ok());
+    if (tickets[i].Wait().answers.size() >
+        tickets[most].Wait().answers.size()) {
+      most = i;
+    }
+  }
+  // Resolved at Submit from the answer cache: it never reaches a wave.
+  tickets.push_back(core.Submit(queries[most]));
+  ASSERT_TRUE(tickets.back().Wait().stats.answer_cache_hit);
+  ASSERT_FALSE(tickets.back().Wait().answers.empty());
+  // Cut off at its first draw, like the query of
+  // CancelledTicketWithAllowDegradedResolvesOk: a degraded ticket's
+  // counters fold too.
+  SubmitOptions cut;
+  cut.allow_degraded = true;
+  cut.cancel_after_draws = 1;
+  tickets.push_back(core.Submit(s.db[0].certain(), cut));
+  ASSERT_TRUE(tickets.back().Wait().degraded);
+  core.Shutdown();
+
+  std::vector<size_t> sum;
+  for (QueryTicket& t : tickets) {
+    const ServeResult& r = t.Wait();
+    EXPECT_EQ(r.stats.structural_candidates,
+              r.stats.pruned_by_upper + r.stats.accepted_by_lower +
+                  r.stats.verification_candidates);
+    EXPECT_EQ(r.stats.answers, r.answers.size());
+    AddCounterFields(r.stats, &sum);
+  }
+  const ServingStats st = core.stats();
+  EXPECT_EQ(st.answer_cache_hits, 1u);
+  EXPECT_EQ(st.submitted, tickets.size());
+  EXPECT_EQ(CounterFields(st.totals), sum);
+  EXPECT_GT(st.totals.structural_candidates, 0u);
+  EXPECT_GT(st.totals.cancelled_candidates, 0u);
 }
 
 // Satellite: a degraded answer produced at a deadline must NEVER be stored,

@@ -521,7 +521,7 @@ TEST(ProcessorSignatureTest, BatchAnswersIdenticalAcrossWidths) {
       EXPECT_EQ(results[i].answers, inline_answers[i])
           << "width " << width << " query " << i;
     }
-    avoided.push_back(stats.vf2_calls_avoided);
+    avoided.push_back(stats.totals.vf2_calls_avoided);
   }
   // The gate counters are deterministic: equal at every width.
   EXPECT_EQ(avoided[0], avoided[1]);

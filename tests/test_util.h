@@ -13,6 +13,7 @@
 #include "pgsim/graph/graph.h"
 #include "pgsim/prob/jpt.h"
 #include "pgsim/prob/probabilistic_graph.h"
+#include "pgsim/query/processor.h"
 
 namespace pgsim::testing {
 
@@ -145,6 +146,26 @@ inline ProbabilisticGraph RandomProbGraph(const Graph& certain, Rng* rng,
     }
   }
   return ProbabilisticGraph::Create(certain, std::move(ne_sets)).value();
+}
+
+/// Every QueryCounters field in declaration order, so roll-up tests can sum
+/// them field by field without going through QueryCounters::operator+=.
+inline std::vector<size_t> CounterFields(const QueryCounters& c) {
+  static_assert(sizeof(QueryCounters) == 11 * sizeof(size_t),
+                "a QueryCounters field was added: list it here too");
+  return {c.num_relaxed_queries,      c.structural_candidates,
+          c.pruned_by_upper,          c.accepted_by_lower,
+          c.verification_candidates,  c.verification_failures,
+          c.cancelled_candidates,     c.answers,
+          c.sig_pairs_rejected,       c.domain_candidates_pruned,
+          c.vf2_calls_avoided};
+}
+
+/// Adds `c`'s fields into `sum` (sized by CounterFields on first use).
+inline void AddCounterFields(const QueryCounters& c, std::vector<size_t>* sum) {
+  const std::vector<size_t> fields = CounterFields(c);
+  sum->resize(fields.size(), 0);
+  for (size_t i = 0; i < fields.size(); ++i) (*sum)[i] += fields[i];
 }
 
 }  // namespace pgsim::testing

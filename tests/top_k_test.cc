@@ -170,26 +170,5 @@ TEST(TopKTest, WorksWithoutStructuralFilter) {
   }
 }
 
-TEST(AdaptiveSmpTest, AdaptiveEstimateNearExact) {
-  Fixture fx = MakeFixture(4031);
-  Rng rng(17);
-  auto q = ExtractQuery(fx.certain[4], 4, &rng);
-  ASSERT_TRUE(q.ok());
-  auto relaxed = GenerateRelaxedQueries(*q, 1).value();
-  VerifierOptions options;
-  options.adaptive = true;
-  options.mc.xi = 0.05;
-  options.mc.tau = 0.05;
-  options.mc.max_samples = 200'000;
-  for (uint32_t gi = 0; gi < 6; ++gi) {
-    auto exact = ExactSubgraphSimilarityProbability(fx.db[gi], relaxed);
-    ASSERT_TRUE(exact.ok());
-    auto adaptive =
-        SampleSubgraphSimilarityProbability(fx.db[gi], relaxed, options, &rng);
-    ASSERT_TRUE(adaptive.ok());
-    EXPECT_NEAR(*adaptive, *exact, 0.06) << "graph " << gi;
-  }
-}
-
 }  // namespace
 }  // namespace pgsim
