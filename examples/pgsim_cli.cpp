@@ -304,6 +304,8 @@ void PrintQueryCounters(const QueryCounters& c) {
   std::printf(
       "dropped candidates: %zu verification failures, %zu cancelled\n",
       c.verification_failures, c.cancelled_candidates);
+  std::printf("sampling: %zu draws, %zu decided by bounds, %zu stopped early\n",
+              c.sample_draws, c.bound_decided, c.stopped_early);
 }
 
 int CmdQuery(int argc, char** argv) {

@@ -521,18 +521,23 @@ void QueryProcessor::VerifyCandidate(const QueryOptions& options,
     }
     return;
   }
+  // Decision mode: the only question is SSP >= ε, so the sampler stops as
+  // soon as its exact bounds or a look settle it.
   SampleControl control;
   control.cancel = job->cancel;
   control.cancel_after_draws = job->cancel_after_draws;
+  control.epsilon = options.epsilon;
   const Result<SampleOutcome> out = SampleSubgraphSimilarityProbabilityAnytime(
       db[gi], cq.relaxed, options.verifier, &job->verify_rngs[k], scratch,
       &cq.plans, control, &gate);
   accumulate_gate_counters();
   if (!out.ok()) {
     job->verdicts[k] = kVerifyFailed;
-  } else if (!out->completed) {
+    return;
+  }
+  job->intervals[k] = *out;
+  if (!out->completed) {
     job->verdicts[k] = kVerifyCancelled;
-    job->intervals[k] = *out;
     job->cancelled.store(true, std::memory_order_relaxed);
   } else {
     job->verdicts[k] =
@@ -544,6 +549,11 @@ void QueryProcessor::FinishQuery(QueryJob* job) const {
   QueryStats& local = job->stats;
   if (job->status.ok()) {
     for (size_t k = 0; k < job->to_verify.size(); ++k) {
+      const SampleOutcome& outcome = job->intervals[k];
+      local.sample_draws += outcome.drawn;
+      if (outcome.decided_early) {
+        ++(outcome.drawn == 0 ? local.bound_decided : local.stopped_early);
+      }
       switch (job->verdicts[k]) {
         case kVerifyFailed:
           ++local.verification_failures;

@@ -103,6 +103,12 @@ struct QueryCounters {
   size_t vf2_calls_avoided = 0;        ///< matcher invocations skipped;
                                        ///< each refuted pair skips one, so
                                        ///< this equals sig_pairs_rejected
+  /// Stage-3 sampling work (decision mode; see query/verifier.h). Every
+  /// candidate decided early counts in exactly one of the last two.
+  size_t sample_draws = 0;   ///< Karp-Luby draws taken, over all candidates
+  size_t bound_decided = 0;  ///< candidates settled by the exact marginal
+                             ///< bounds, before any draw
+  size_t stopped_early = 0;  ///< candidates settled at a look, before N
 
   QueryCounters& operator+=(const QueryCounters& o) {
     num_relaxed_queries += o.num_relaxed_queries;
@@ -116,6 +122,9 @@ struct QueryCounters {
     sig_pairs_rejected += o.sig_pairs_rejected;
     domain_candidates_pruned += o.domain_candidates_pruned;
     vf2_calls_avoided += o.vf2_calls_avoided;
+    sample_draws += o.sample_draws;
+    bound_decided += o.bound_decided;
+    stopped_early += o.stopped_early;
     return *this;
   }
 };
@@ -217,10 +226,11 @@ struct QueryJob {
   /// is partial, and `intervals` carries the anytime state. FinishQuery
   /// never stores a cancelled result in the answer cache.
   std::atomic<bool> cancelled{false};
-  /// Per-candidate anytime outcomes, parallel to to_verify. Meaningful at
-  /// index k iff verdicts[k] is "cancelled": the confidence interval from
-  /// the samples candidate k drew before stopping (default-initialized
-  /// [0, 1] when it never started).
+  /// Per-candidate sampler outcomes, parallel to to_verify (default-
+  /// initialized — [0, 1], no draws — when candidate k never sampled).
+  /// FinishQuery sums their draws and early decisions into the counters;
+  /// when verdicts[k] is "cancelled", index k holds the confidence interval
+  /// from the samples candidate k drew before stopping.
   std::vector<SampleOutcome> intervals;
 
   /// Stage-3 signature-gate tallies, accumulated by concurrent verification

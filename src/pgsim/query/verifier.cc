@@ -192,6 +192,27 @@ SampleOutcome UndrawOutcome(double v_upper, bool completed) {
   return out;
 }
 
+// The first look of decision mode; later looks double it while below N.
+constexpr uint64_t kFirstLook = 64;
+
+// The Karp–Luby estimate after `drawn` rounds with `cnt` canonical hits and
+// its Hoeffding interval at level 1 - xi: each round's indicator is bounded
+// by [0, 1] and scaled by v, so the half-width is
+// v * sqrt(ln(2/xi) / (2 * drawn)).
+SampleOutcome HoeffdingOutcome(double v, uint64_t cnt, uint64_t drawn,
+                               double xi) {
+  SampleOutcome out;
+  out.drawn = drawn;
+  out.hits = cnt;
+  out.estimate = std::clamp(
+      v * static_cast<double>(cnt) / static_cast<double>(drawn), 0.0, 1.0);
+  const double half_width =
+      v * std::sqrt(std::log(2.0 / xi) / (2.0 * static_cast<double>(drawn)));
+  out.lo = std::max(out.estimate - half_width, 0.0);
+  out.hi = std::min({out.estimate + half_width, v, 1.0});
+  return out;
+}
+
 }  // namespace
 
 Result<SampleOutcome> SampleSubgraphSimilarityProbabilityAnytime(
@@ -209,6 +230,7 @@ Result<SampleOutcome> SampleSubgraphSimilarityProbabilityAnytime(
     scratch->rq_plans_compiled = 0;
     return UndrawOutcome(1.0, /*completed=*/false);
   }
+  const bool decide = control.epsilon.has_value();
   PGSIM_RETURN_NOT_OK(
       CollectSimilarityEvents(g, relaxed, options, scratch, plans, gate));
   EventSetPool& events = scratch->events;
@@ -216,6 +238,7 @@ Result<SampleOutcome> SampleSubgraphSimilarityProbabilityAnytime(
     // No embedding of any relaxed query: the SSP is exactly 0.
     SampleOutcome out;
     out.hi = 0.0;
+    out.decided_early = decide;
     return out;
   }
   // Absorption shrinks the event list without changing the union.
@@ -369,7 +392,21 @@ Result<SampleOutcome> SampleSubgraphSimilarityProbabilityAnytime(
     // Every event has zero marginal: the SSP is exactly 0.
     SampleOutcome out;
     out.hi = 0.0;
+    out.decided_early = decide;
     return out;
+  }
+  if (decide) {
+    // Decision mode's exact check, before any draw or index build: SSP is
+    // at least the likeliest event's marginal and at most the union bound.
+    const double max_marginal = marginals[order[0]];
+    if (max_marginal >= *control.epsilon || v < *control.epsilon) {
+      SampleOutcome out;
+      out.hi = std::min(v, 1.0);
+      out.lo = std::min(max_marginal, out.hi);
+      out.estimate = 0.5 * (out.lo + out.hi);
+      out.decided_early = true;
+      return out;
+    }
   }
 
   // Contiguous copy of the rows in sorted order: the canonicity scan walks
@@ -408,8 +445,13 @@ Result<SampleOutcome> SampleSubgraphSimilarityProbabilityAnytime(
   scratch->dead_stamp.assign(m, 0);
   scratch->stamp = 0;
 
-  // Fixed-N stopping (Algorithm 5).
+  // Fixed-N stopping (Algorithm 5), or in decision mode the looks at
+  // n = 64, 128, ... < N, the k-th at confidence 1 - xi / 2^k.
   const uint64_t fixed_n = options.mc.NumSamples();
+  const double xi = std::clamp(options.mc.xi, 1e-9, 0.999);
+  uint64_t next_look =
+      decide && kFirstLook < fixed_n ? kFirstLook : UINT64_MAX;
+  double look_xi = xi;
   const Span<const uint32_t> active(active_ne.data(), active_ne.size());
   std::vector<uint64_t>& world_words = scratch->world_words;
   // Canonicity strategy: direct superset scans win while a row is a couple
@@ -420,6 +462,17 @@ Result<SampleOutcome> SampleSubgraphSimilarityProbabilityAnytime(
   uint64_t drawn = 0;
   bool completed = true;
   for (;;) {
+    if (drawn == next_look) {
+      // A look: stop once the interval clears ε. It precedes the
+      // cancellation point, so a decided candidate is never cut off here.
+      look_xi *= 0.5;
+      SampleOutcome out = HoeffdingOutcome(v, cnt, drawn, look_xi);
+      if (out.lo >= *control.epsilon || out.hi < *control.epsilon) {
+        out.decided_early = true;
+        return out;
+      }
+      next_look = 2 * drawn < fixed_n ? 2 * drawn : UINT64_MAX;
+    }
     // Cancellation point: one relaxed load per draw (plus the deterministic
     // after-N-draws test hook). Checked before the stopping rule so a
     // cancelled run stops without consuming another RNG draw — the partial
@@ -537,19 +590,8 @@ Result<SampleOutcome> SampleSubgraphSimilarityProbabilityAnytime(
     }
   }
   if (drawn == 0) return UndrawOutcome(std::min(v, 1.0), completed);
-  SampleOutcome out;
-  out.drawn = drawn;
-  out.hits = cnt;
+  SampleOutcome out = HoeffdingOutcome(v, cnt, drawn, xi);
   out.completed = completed;
-  out.estimate = std::clamp(
-      v * static_cast<double>(cnt) / static_cast<double>(drawn), 0.0, 1.0);
-  // Hoeffding at level 1 - xi: each round's indicator is bounded by [0, 1]
-  // and scaled by v, so the half-width is v * sqrt(ln(2/xi) / (2 * drawn)).
-  const double half_width =
-      v * std::sqrt(std::log(2.0 / std::clamp(options.mc.xi, 1e-9, 0.999)) /
-                    (2.0 * static_cast<double>(drawn)));
-  out.lo = std::max(out.estimate - half_width, 0.0);
-  out.hi = std::min({out.estimate + half_width, v, 1.0});
   return out;
 }
 

@@ -14,6 +14,21 @@
 // but unused; V * Cnt / N is the estimator its Monte-Carlo citation [26]
 // prescribes, and the one implemented here).
 //
+// The sampler runs in one of two modes (SampleControl::epsilon):
+//   * Estimator mode (no ε): the fixed N = 4 ln(2/ξ)/τ² rounds of
+//     Algorithm 5 and the point estimate V * Cnt / N — what
+//     SampleSubgraphSimilarityProbability and top-k report.
+//   * Decision mode (ε set): the pipeline asks only "is SSP >= ε?", so the
+//     sampler stops as soon as that is known. First, before any draw, the
+//     exact bounds max_i Pr(Bfi) <= SSP <= min(V, 1) accept when
+//     max Pr(Bfi) >= ε and reject when V < ε. Otherwise it looks at
+//     n = 64, 128, 256, ... draws (while n < N) and stops when the Hoeffding
+//     interval estimate ± V·sqrt(ln(2/ξk)/(2n)) lies wholly on one side of
+//     ε. The k-th look spends ξk = ξ/2^k of the error budget, so all looks
+//     together spend at most ξ. A candidate still undecided at N gets the
+//     estimator mode's point verdict. Looks are draw counts, so the stop
+//     point, like every draw, is a pure function of the candidate's RNG.
+//
 // Engine layout (this file's scratch-threaded entry points):
 //   * Events live in a contiguous EventSetPool inside a caller-owned
 //     VerifierScratch; marginal/cumulative/world/index buffers are all
@@ -42,6 +57,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "pgsim/bounds/cond_sampler.h"
@@ -214,7 +230,8 @@ Result<double> SampleSubgraphSimilarityProbability(
     const std::vector<MatchPlan>* plans = nullptr,
     const SignatureGate* gate = nullptr);
 
-/// Cooperative-cancellation controls for the anytime sampler.
+/// Cooperative-cancellation and stopping controls for the anytime sampler.
+/// `SampleControl{}` is estimator mode: exactly N draws, never cancelled.
 struct SampleControl {
   /// Polled once per draw (one relaxed load); null = never cancelled.
   const CancelState* cancel = nullptr;
@@ -223,15 +240,26 @@ struct SampleControl {
   /// candidate's* draws (per-candidate RNGs are pre-forked sequentially),
   /// the partial outcome is byte-identical across runs and scheduler widths.
   uint64_t cancel_after_draws = 0;
+  /// Decision mode's threshold: set, the sampler stops once SSP >= epsilon
+  /// is settled — by the exact bounds before any draw, or at a look (see the
+  /// file comment). A look runs before the cancellation check of the same
+  /// draw count, so a candidate decided at draw n is never cut off at n.
+  /// Unset = estimator mode.
+  std::optional<double> epsilon;
 };
 
-/// What the anytime sampler knew when it stopped — complete or cancelled.
+/// What the anytime sampler knew when it stopped: complete (at N draws, or
+/// decided early in decision mode) or cancelled.
 struct SampleOutcome {
-  /// The running Karp-Luby estimate v * cnt / drawn, clamped to [0, 1].
+  /// The running Karp-Luby estimate v * cnt / drawn, clamped to [0, 1]; for
+  /// a candidate decided by the exact bounds, the midpoint of [lo, hi]. In
+  /// decision mode `estimate >= epsilon` is the verdict either way.
   double estimate = 0.0;
-  /// Hoeffding confidence interval at level 1 - xi around `estimate`:
-  /// half-width v * sqrt(ln(2/xi) / (2 * drawn)). Before the first draw the
-  /// only known bounds are [0, min(v, 1)] (union bound), or [0, 1] when
+  /// After draws: the Hoeffding confidence interval around `estimate`, of
+  /// half-width v * sqrt(ln(2/xi) / (2 * drawn)) — at level 1 - xi, or
+  /// 1 - xi_k when decided at the k-th look. Decided by the exact bounds:
+  /// [max Pr(Bfi), min(v, 1)]. Otherwise, before the first draw, the only
+  /// known bounds are [0, min(v, 1)] (union bound), or [0, 1] when
   /// cancellation struck before the events were even collected.
   double lo = 0.0;
   double hi = 1.0;
@@ -240,12 +268,16 @@ struct SampleOutcome {
   uint64_t hits = 0;
   /// False iff the sampler stopped at a cancellation point.
   bool completed = true;
+  /// Decision mode only: the verdict was settled before N draws — by the
+  /// exact bounds (drawn == 0) or at a look (drawn > 0).
+  bool decided_early = false;
 };
 
 /// The anytime form of Algorithm 5: identical draw-for-draw to
 /// SampleSubgraphSimilarityProbability (which wraps it with a null control),
 /// but stoppable at every draw, returning the partial estimate plus its
-/// confidence interval instead of an error. Event-collection failures (caps)
+/// confidence interval instead of an error, and, in decision mode, at the
+/// first point where the verdict is known. Event-collection failures (caps)
 /// still surface as errors — there is no partial answer without events.
 Result<SampleOutcome> SampleSubgraphSimilarityProbabilityAnytime(
     const ProbabilisticGraph& g, const std::vector<Graph>& relaxed,

@@ -7,6 +7,13 @@
 // epoch correctness, the admission-path answer cache, the
 // degraded-results-are-never-cached guarantee, and the ServingStats::totals
 // roll-up of every resolved ticket's counters.
+//
+// Queries are small connected subgraphs of database graphs (SubgraphQueries):
+// whole database graphs rarely have answers at delta = 1, and stage 3
+// settles their candidates from the exact marginal bounds before the first
+// draw, so they never reach a cancellation point of the sampling loop. Every
+// answer-equality check below first asserts the compared answers are
+// non-empty.
 
 #include <gtest/gtest.h>
 
@@ -64,6 +71,19 @@ QueryOptions ServeQueryOptions() {
   return options;
 }
 
+// `count` connected `edges`-edge queries, the i-th extracted from database
+// graph i (cyclically) by ExtractQuery under one RNG seeded with `seed`.
+std::vector<Graph> SubgraphQueries(const ServeSetup& s, uint64_t seed,
+                                   uint32_t edges, size_t count) {
+  Rng rng(seed);
+  std::vector<Graph> queries;
+  for (size_t src = 0; queries.size() < count; ++src) {
+    auto q = ExtractQuery(s.certain[src % s.certain.size()], edges, &rng);
+    if (q.ok()) queries.push_back(std::move(q).value());
+  }
+  return queries;
+}
+
 ProbabilisticGraph ExtraGraph(uint64_t seed) {
   SyntheticOptions gen;
   gen.num_graphs = 1;
@@ -79,14 +99,16 @@ TEST(ServingCoreTest, UndeadlinedQueriesMatchQueryBatchAtEveryWidth) {
   ServeSetup s = BuildServeSetup(9001, 8);
   QueryProcessor processor(&s.db, &s.pmi, &s.filter);
   const QueryOptions options = ServeQueryOptions();
-  const std::vector<Graph> queries = {s.db[0].certain(), s.db[3].certain(),
-                                      s.db[6].certain()};
+  const std::vector<Graph> queries = SubgraphQueries(s, 9001, 4, 3);
 
   BatchOptions batch;
   batch.num_threads = 1;
   const auto golden = processor.QueryBatch(queries, options, batch);
   ASSERT_EQ(golden.size(), queries.size());
-  for (const auto& r : golden) ASSERT_TRUE(r.status.ok());
+  for (const auto& r : golden) {
+    ASSERT_TRUE(r.status.ok());
+    ASSERT_FALSE(r.answers.empty());
+  }
 
   for (uint32_t width : {1u, 2u, 4u}) {
     ServingOptions so;
@@ -149,11 +171,11 @@ TEST(ServingCoreTest, CancelledTicketWithAllowDegradedResolvesOk) {
   SubmitOptions opts;
   opts.allow_degraded = true;
   opts.cancel_after_draws = 1;
-  QueryTicket t = core.Submit(s.db[0].certain(), opts);
+  QueryTicket t = core.Submit(SubgraphQueries(s, 9011, 4, 1)[0], opts);
   const ServeResult& r = t.Wait();
   ASSERT_TRUE(r.status.ok());
-  // Self-query at delta=1 has verification candidates (pinned by the golden
-  // pipeline), so at least one candidate was cut off mid-sampling.
+  // This query has candidates the exact bounds leave open, so at least one
+  // was cut off mid-sampling.
   EXPECT_TRUE(r.degraded);
   EXPECT_FALSE(r.intervals.empty());
   for (const auto& ia : r.intervals) {
@@ -166,6 +188,40 @@ TEST(ServingCoreTest, CancelledTicketWithAllowDegradedResolvesOk) {
   }
   core.Shutdown();
   EXPECT_EQ(core.stats().degraded, 1u);
+}
+
+TEST(ServingCoreTest, BoundDecidedCandidatesResolveExactUnderACancelPoint) {
+  ServeSetup s = BuildServeSetup(9011, 6);
+  QueryProcessor processor(&s.db, &s.pmi, &s.filter);
+  ServingOptions so;
+  so.num_threads = 1;
+  so.query = ServeQueryOptions();
+  ServingCore core(&processor, so);
+
+  // Two-edge queries: the exact bounds max Pr(Bfi) <= SSP <= min(V, 1)
+  // settle every candidate before the first draw, so a cancel point at draw
+  // 1 never fires and the ticket resolves exact, not degraded.
+  SubmitOptions cut;
+  cut.allow_degraded = true;
+  cut.cancel_after_draws = 1;
+  for (const Graph& q : SubgraphQueries(s, 9049, 2, 3)) {
+    QueryTicket uncut = core.Submit(q);
+    const ServeResult& golden = uncut.Wait();
+    ASSERT_TRUE(golden.status.ok());
+    ASSERT_FALSE(golden.answers.empty());
+    QueryTicket t = core.Submit(q, cut);
+    const ServeResult& r = t.Wait();
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_FALSE(r.degraded);
+    EXPECT_TRUE(r.intervals.empty());
+    EXPECT_EQ(r.answers, golden.answers);
+    EXPECT_GT(r.stats.verification_candidates, 0u);
+    EXPECT_EQ(r.stats.bound_decided, r.stats.verification_candidates);
+    EXPECT_EQ(r.stats.sample_draws, 0u);
+    EXPECT_EQ(r.stats.cancelled_candidates, 0u);
+  }
+  core.Shutdown();
+  EXPECT_EQ(core.stats().degraded, 0u);
 }
 
 TEST(ServingCoreTest, WallClockDeadlineResolvesWithinBound) {
@@ -199,7 +255,9 @@ TEST(ServingCoreTest, CancelPointAnswersAreByteIdenticalAcrossRunsAndWidths) {
   ServeSetup s = BuildServeSetup(9017, 8);
   QueryProcessor processor(&s.db, &s.pmi, &s.filter);
   const QueryOptions options = ServeQueryOptions();
-  const Graph query = s.db[1].certain();
+  // A three-edge query whose degraded answer holds both bound-accepted
+  // candidates and intervals for the candidates the cancel point cut off.
+  const Graph query = SubgraphQueries(s, 9017, 3, 1)[0];
 
   SubmitOptions opts;
   opts.allow_degraded = true;
@@ -218,6 +276,9 @@ TEST(ServingCoreTest, CancelPointAnswersAreByteIdenticalAcrossRunsAndWidths) {
   };
 
   const ServeResult base = run_once(1);
+  ASSERT_TRUE(base.degraded);
+  ASSERT_FALSE(base.answers.empty());
+  ASSERT_FALSE(base.intervals.empty());
   for (uint32_t width : {1u, 4u}) {
     for (int rep = 0; rep < 2; ++rep) {
       const ServeResult r = run_once(width);
@@ -341,10 +402,13 @@ TEST(ServingCoreTest, MutationsInterleaveAndStampEpochs) {
   so.query = ServeQueryOptions();
   ServingCore core(&processor, so);
 
+  // The second query: the first has no answers.
+  const Graph query = SubgraphQueries(s, 9031, 4, 2)[1];
   const uint64_t epoch0 = processor.epoch();
-  QueryTicket q1 = core.Submit(s.db[0].certain());
+  QueryTicket q1 = core.Submit(query);
   const ServeResult& r1 = q1.Wait();
   ASSERT_TRUE(r1.status.ok());
+  ASSERT_FALSE(r1.answers.empty());
   EXPECT_EQ(r1.epoch, epoch0);
 
   QueryTicket add = core.SubmitAddGraph(ExtraGraph(9032), 77);
@@ -353,7 +417,7 @@ TEST(ServingCoreTest, MutationsInterleaveAndStampEpochs) {
   EXPECT_GT(ra.epoch, epoch0);
   const uint32_t added_id = ra.graph_id;
 
-  QueryTicket q2 = core.Submit(s.db[0].certain());
+  QueryTicket q2 = core.Submit(query);
   const ServeResult& r2 = q2.Wait();
   ASSERT_TRUE(r2.status.ok());
   EXPECT_EQ(r2.epoch, ra.epoch);
@@ -369,7 +433,7 @@ TEST(ServingCoreTest, MutationsInterleaveAndStampEpochs) {
   ASSERT_TRUE(rr.status.ok()) << rr.status.message();
   EXPECT_GT(rr.epoch, ra.epoch);
 
-  QueryTicket q3 = core.Submit(s.db[0].certain());
+  QueryTicket q3 = core.Submit(query);
   const ServeResult& r3 = q3.Wait();
   ASSERT_TRUE(r3.status.ok());
   EXPECT_EQ(r3.answers, r1.answers);  // round trip is answer-preserving
@@ -392,10 +456,11 @@ TEST(ServingCoreTest, AdmissionPathServesAnswerCacheHitsInstantly) {
   so.answer_cache = &cache;
   ServingCore core(&processor, so);
 
-  const Graph q = s.db[0].certain();
+  const Graph q = SubgraphQueries(s, 9037, 4, 1)[0];
   QueryTicket t1 = core.Submit(q);
   const ServeResult& r1 = t1.Wait();
   ASSERT_TRUE(r1.status.ok());
+  ASSERT_FALSE(r1.answers.empty());
   EXPECT_FALSE(r1.stats.answer_cache_hit);
   EXPECT_EQ(cache.size(), 1u);  // the pipeline stored the exact answer
 
@@ -423,12 +488,10 @@ TEST(ServingCoreTest, TotalsAreTheSumOfEveryResolvedQueryTicket) {
   ServingCore core(&processor, so);
 
   // Four-edge subgraphs of database graphs: small enough to have answers.
-  Rng rng(9049);
-  std::vector<Graph> queries;
-  while (queries.size() < 4) {
-    auto q = ExtractQuery(s.certain[queries.size()], 4, &rng);
-    if (q.ok()) queries.push_back(std::move(q).value());
-  }
+  // The fifth is kept out of the cache for the degraded ticket below.
+  std::vector<Graph> queries = SubgraphQueries(s, 9049, 4, 5);
+  const Graph cut_query = std::move(queries.back());
+  queries.pop_back();
   std::vector<QueryTicket> tickets;
   for (const Graph& q : queries) tickets.push_back(core.Submit(q));
   size_t most = 0;
@@ -449,7 +512,7 @@ TEST(ServingCoreTest, TotalsAreTheSumOfEveryResolvedQueryTicket) {
   SubmitOptions cut;
   cut.allow_degraded = true;
   cut.cancel_after_draws = 1;
-  tickets.push_back(core.Submit(s.db[0].certain(), cut));
+  tickets.push_back(core.Submit(cut_query, cut));
   ASSERT_TRUE(tickets.back().Wait().degraded);
   core.Shutdown();
 
@@ -468,6 +531,10 @@ TEST(ServingCoreTest, TotalsAreTheSumOfEveryResolvedQueryTicket) {
   EXPECT_EQ(CounterFields(st.totals), sum);
   EXPECT_GT(st.totals.structural_candidates, 0u);
   EXPECT_GT(st.totals.cancelled_candidates, 0u);
+  // Stage 3's sampling counters are exercised by the roll-up too.
+  EXPECT_GT(st.totals.sample_draws, 0u);
+  EXPECT_GT(st.totals.bound_decided, 0u);
+  EXPECT_GT(st.totals.stopped_early, 0u);
 }
 
 // Satellite: a degraded answer produced at a deadline must NEVER be stored,
@@ -494,8 +561,8 @@ TEST(ServingCoreTest, DegradedResultsAreNeverCached) {
   Graph q;
   size_t exact_runs = 0;
   bool found = false;
-  for (size_t i = 0; i < s.db.size() && !found; ++i) {
-    const Graph cand = s.db[i].certain();
+  for (const Graph& cand : SubgraphQueries(s, 9041, 4, s.db.size())) {
+    if (found) break;
     QueryTicket t = core.Submit(cand, degraded_opts);
     const ServeResult& r = t.Wait();
     ASSERT_TRUE(r.status.ok());
@@ -514,6 +581,7 @@ TEST(ServingCoreTest, DegradedResultsAreNeverCached) {
   batch.num_threads = 1;
   const auto golden = processor.QueryBatch({q}, options, batch);
   ASSERT_TRUE(golden[0].status.ok());
+  ASSERT_FALSE(golden[0].answers.empty());
 
   // Resubmitted without a cancel point: must MISS (no stored entry), rerun
   // the full pipeline, and produce the exact golden answer.
@@ -552,9 +620,10 @@ TEST(ServingCoreTest, CallbackFiresExactlyOnceWithTheResolvedResult) {
   opts.callback = [&](const ServeResult& r) {
     if (fired.fetch_add(1) == 0) answers_promise.set_value(r.answers);
   };
-  QueryTicket t = core.Submit(s.db[0].certain(), opts);
+  QueryTicket t = core.Submit(SubgraphQueries(s, 9043, 4, 1)[0], opts);
   const ServeResult& r = t.Wait();
   ASSERT_TRUE(r.status.ok());
+  ASSERT_FALSE(r.answers.empty());
   EXPECT_EQ(answers_promise.get_future().get(), r.answers);
   core.Shutdown();
   EXPECT_EQ(fired.load(), 1);

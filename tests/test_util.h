@@ -151,14 +151,15 @@ inline ProbabilisticGraph RandomProbGraph(const Graph& certain, Rng* rng,
 /// Every QueryCounters field in declaration order, so roll-up tests can sum
 /// them field by field without going through QueryCounters::operator+=.
 inline std::vector<size_t> CounterFields(const QueryCounters& c) {
-  static_assert(sizeof(QueryCounters) == 11 * sizeof(size_t),
+  static_assert(sizeof(QueryCounters) == 14 * sizeof(size_t),
                 "a QueryCounters field was added: list it here too");
   return {c.num_relaxed_queries,      c.structural_candidates,
           c.pruned_by_upper,          c.accepted_by_lower,
           c.verification_candidates,  c.verification_failures,
           c.cancelled_candidates,     c.answers,
           c.sig_pairs_rejected,       c.domain_candidates_pruned,
-          c.vf2_calls_avoided};
+          c.vf2_calls_avoided,        c.sample_draws,
+          c.bound_decided,            c.stopped_early};
 }
 
 /// Adds `c`'s fields into `sum` (sized by CounterFields on first use).

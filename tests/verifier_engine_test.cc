@@ -14,14 +14,25 @@
 //     exactly max_embeddings_per_rq embeddings, or a candidate with exactly
 //     max_total_embeddings events, must NOT error);
 //   * BuildEdgeSubsetGraph (the world-enumeration fast path) matches a
-//     GraphBuilder-built world.
+//     GraphBuilder-built world;
+//   * decision mode (SampleControl::epsilon): accepts and rejects from the
+//     exact bounds [max Pr(Bfi), min(V, 1)] with no draw, stops at a look
+//     whose interval clears ε, completes when a look lands on the cancel
+//     point, and leaves estimator mode at exactly N draws;
+//   * decision mode against the world-enumeration oracle: a bound-decided
+//     verdict is never on the wrong side of exact SSP vs ε, and on
+//     near-threshold instances wrong early decisions stay within ξ.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/graph/relaxation.h"
 #include "pgsim/graph/vf2.h"
 #include "pgsim/query/verifier.h"
+#include "oracles/exact_probability.h"
 #include "test_util.h"
 
 namespace pgsim {
@@ -274,6 +285,270 @@ TEST(VerifierEngineTest, BuildEdgeSubsetGraphMatchesBuilder) {
       }
     }
   }
+}
+
+// --- Decision mode -----------------------------------------------------------
+
+// A tiny random instance: a partition-model graph and a 4-vertex query
+// relaxed at delta = 1, small enough for world enumeration.
+struct Instance {
+  ProbabilisticGraph pg;
+  Graph q;
+  std::vector<Graph> relaxed;
+  double max_marginal = 0.0;  ///< max Pr(Bfi) over the absorbed events
+  double v = 0.0;             ///< V = sum Pr(Bfi)
+};
+
+constexpr uint32_t kDelta = 1;
+
+Instance RandomInstance(Rng* rng) {
+  const Graph g = RandomGraph(rng, 6, 3, 2);
+  Instance in{RandomProbGraph(g, rng), RandomGraph(rng, 4, 1, 2), {}};
+  in.relaxed = GenerateRelaxedQueries(in.q, kDelta).value();
+  // An estimator run leaves the absorbed events' marginals in the scratch.
+  VerifierScratch scratch;
+  Rng draws(1);
+  EXPECT_TRUE(SampleSubgraphSimilarityProbabilityAnytime(
+                  in.pg, in.relaxed, VerifierOptions(), &draws, &scratch)
+                  .ok());
+  for (size_t i = 0; i < scratch.events.size(); ++i) {
+    in.max_marginal = std::max(in.max_marginal, scratch.marginals[i]);
+    in.v += scratch.marginals[i];
+  }
+  return in;
+}
+
+SampleOutcome Decide(const Instance& in, double epsilon, uint64_t seed,
+                     uint64_t cancel_after_draws = 0) {
+  SampleControl control;
+  control.epsilon = epsilon;
+  control.cancel_after_draws = cancel_after_draws;
+  VerifierScratch scratch;
+  Rng rng(seed);
+  return SampleSubgraphSimilarityProbabilityAnytime(
+             in.pg, in.relaxed, VerifierOptions(), &rng, &scratch, nullptr,
+             control)
+      .value();
+}
+
+double ExactSsp(const Instance& in) {
+  return ExactSspByWorldEnumeration(in.pg, in.q, kDelta).value();
+}
+
+// Well-formed and consistent: lo <= estimate <= hi inside [0, 1].
+void ExpectOrdered(const SampleOutcome& out) {
+  EXPECT_LE(0.0, out.lo);
+  EXPECT_LE(out.lo, out.estimate);
+  EXPECT_LE(out.estimate, out.hi);
+  EXPECT_LE(out.hi, 1.0);
+}
+
+TEST(VerifierDecisionTest, BoundAcceptAndBoundRejectTakeNoDraw) {
+  Rng rng(9071);
+  bool accepted = false;
+  bool rejected = false;
+  for (int trial = 0; trial < 200 && !(accepted && rejected); ++trial) {
+    const Instance in = RandomInstance(&rng);
+    // Two or more events with V < 1: the bounds leave a gap on both sides.
+    if (in.max_marginal <= 0.0 || in.v >= 1.0 || in.max_marginal >= in.v) {
+      continue;
+    }
+    const double exact = ExactSsp(in);
+    if (!accepted) {
+      // max Pr(Bfi) >= ε: accepted before the first draw.
+      const double epsilon = in.max_marginal;
+      const SampleOutcome out = Decide(in, epsilon, 5);
+      EXPECT_TRUE(out.completed);
+      EXPECT_TRUE(out.decided_early);
+      EXPECT_EQ(out.drawn, 0u);
+      ExpectOrdered(out);
+      EXPECT_GE(out.estimate, epsilon);
+      EXPECT_GE(exact + 1e-12, epsilon);
+      EXPECT_LE(out.lo, exact + 1e-12);
+      EXPECT_LE(exact, out.hi + 1e-12);
+      accepted = true;
+    }
+    if (!rejected) {
+      // V < ε: rejected before the first draw.
+      const double epsilon = 0.5 * (in.v + 1.0);
+      const SampleOutcome out = Decide(in, epsilon, 5);
+      EXPECT_TRUE(out.completed);
+      EXPECT_TRUE(out.decided_early);
+      EXPECT_EQ(out.drawn, 0u);
+      ExpectOrdered(out);
+      EXPECT_LT(out.estimate, epsilon);
+      EXPECT_LT(out.hi, epsilon);
+      EXPECT_LT(exact, epsilon);
+      EXPECT_LE(out.lo, exact + 1e-12);
+      EXPECT_LE(exact, out.hi + 1e-12);
+      rejected = true;
+    }
+  }
+  EXPECT_TRUE(accepted && rejected) << "no instance with a two-sided gap";
+}
+
+// The first instance and ε (on a 0.05 grid) that the bounds leave open and a
+// look settles; sets *epsilon and returns the outcome.
+SampleOutcome FindLookStop(Rng* rng, Instance* in, double* epsilon) {
+  for (int trial = 0; trial < 200; ++trial) {
+    *in = RandomInstance(rng);
+    for (int step = 1; step < 20; ++step) {
+      *epsilon = 0.05 * step;
+      const SampleOutcome out = Decide(*in, *epsilon, 13);
+      if (out.decided_early && out.drawn > 0) return out;
+    }
+  }
+  ADD_FAILURE() << "no instance stopped at a look";
+  return SampleOutcome();
+}
+
+TEST(VerifierDecisionTest, StopsAtTheFirstLookWhoseIntervalClearsEpsilon) {
+  Rng rng(9073);
+  Instance in;
+  double epsilon = 0.0;
+  const SampleOutcome out = FindLookStop(&rng, &in, &epsilon);
+  ASSERT_GT(out.drawn, 0u);
+  const uint64_t n = VerifierOptions().mc.NumSamples();
+  // Looks fall at 64 * 2^k draws, below N.
+  EXPECT_EQ(out.drawn % 64, 0u);
+  EXPECT_EQ((out.drawn / 64) & (out.drawn / 64 - 1), 0u);
+  EXPECT_LT(out.drawn, n);
+  EXPECT_TRUE(out.completed);
+  ExpectOrdered(out);
+  // The interval lies wholly on one side of ε, and the estimate with it.
+  EXPECT_TRUE(out.lo >= epsilon || out.hi < epsilon);
+  EXPECT_EQ(out.estimate >= epsilon, out.lo >= epsilon);
+  // It is the Hoeffding interval at the look's spent level: the look at
+  // 64 * 2^(k-1) draws runs at ξk = ξ / 2^k.
+  int k = 1;
+  while ((uint64_t{64} << (k - 1)) < out.drawn) ++k;
+  const double xi_k = VerifierOptions().mc.xi / static_cast<double>(1 << k);
+  const double half_width =
+      in.v * std::sqrt(std::log(2.0 / xi_k) /
+                       (2.0 * static_cast<double>(out.drawn)));
+  EXPECT_NEAR(out.lo, std::max(out.estimate - half_width, 0.0), 1e-9);
+  EXPECT_NEAR(out.hi, std::min({out.estimate + half_width, in.v, 1.0}),
+              1e-9);
+  // Looks are draw counts: the stopped run is the estimator's run cut at
+  // the same draw, draw for draw.
+  SampleControl cut;
+  cut.cancel_after_draws = out.drawn;
+  VerifierScratch scratch;
+  Rng r(13);
+  const SampleOutcome prefix =
+      SampleSubgraphSimilarityProbabilityAnytime(in.pg, in.relaxed,
+                                                 VerifierOptions(), &r,
+                                                 &scratch, nullptr, cut)
+          .value();
+  EXPECT_EQ(prefix.drawn, out.drawn);
+  EXPECT_EQ(prefix.hits, out.hits);
+  EXPECT_EQ(prefix.estimate, out.estimate);
+  // An earlier look (if any) did not clear ε: the stop is the first one.
+  if (out.drawn > 64) {
+    const SampleOutcome earlier = Decide(in, epsilon, 13, out.drawn / 2);
+    EXPECT_FALSE(earlier.completed);
+  }
+}
+
+TEST(VerifierDecisionTest, ALookOnTheCancelPointCompletes) {
+  Rng rng(9079);
+  Instance in;
+  double epsilon = 0.0;
+  const SampleOutcome out = FindLookStop(&rng, &in, &epsilon);
+  ASSERT_GT(out.drawn, 0u);
+  // The look at draw n runs before the cancellation check at n.
+  const SampleOutcome at = Decide(in, epsilon, 13, out.drawn);
+  EXPECT_TRUE(at.completed);
+  EXPECT_TRUE(at.decided_early);
+  EXPECT_EQ(at.drawn, out.drawn);
+  EXPECT_EQ(at.estimate, out.estimate);
+  EXPECT_EQ(at.lo, out.lo);
+  EXPECT_EQ(at.hi, out.hi);
+  // One draw earlier, the cancel point wins.
+  const SampleOutcome before = Decide(in, epsilon, 13, out.drawn - 1);
+  EXPECT_FALSE(before.completed);
+  EXPECT_FALSE(before.decided_early);
+  EXPECT_EQ(before.drawn, out.drawn - 1);
+}
+
+TEST(VerifierDecisionTest, EstimatorModeTakesExactlyNDraws) {
+  Rng rng(9083);
+  const VerifierOptions options;
+  int checked = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const Instance in = RandomInstance(&rng);
+    if (in.v <= 0.0) continue;
+    VerifierScratch scratch;
+    Rng r1(trial);
+    const SampleOutcome out =
+        SampleSubgraphSimilarityProbabilityAnytime(in.pg, in.relaxed, options,
+                                                   &r1, &scratch)
+            .value();
+    EXPECT_EQ(out.drawn, options.mc.NumSamples());
+    EXPECT_TRUE(out.completed);
+    EXPECT_FALSE(out.decided_early);
+    Rng r2(trial);
+    const double estimate =
+        SampleSubgraphSimilarityProbability(in.pg, in.relaxed, options, &r2)
+            .value();
+    EXPECT_EQ(out.estimate, estimate);
+    ++checked;
+  }
+  EXPECT_GT(checked, 5);
+}
+
+TEST(VerifierDecisionTest, BoundDecidedVerdictsMatchWorldEnumeration) {
+  Rng rng(9089);
+  int bound_decided = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const Instance in = RandomInstance(&rng);
+    const double exact = ExactSsp(in);
+    for (int step = 1; step < 20; ++step) {
+      const double epsilon = 0.05 * step;
+      const SampleOutcome out = Decide(in, epsilon, trial);
+      if (!out.decided_early || out.drawn != 0) continue;
+      ++bound_decided;
+      // The bounds are exact, so the verdict is too, whatever ξ.
+      EXPECT_EQ(out.estimate >= epsilon, exact >= epsilon)
+          << "trial " << trial << " epsilon " << epsilon << " exact "
+          << exact;
+      EXPECT_LE(out.lo, exact + 1e-12);
+      EXPECT_LE(exact, out.hi + 1e-12);
+    }
+  }
+  EXPECT_GT(bound_decided, 100);
+}
+
+TEST(VerifierDecisionTest, WrongEarlyDecisionsStayWithinXiNearThreshold) {
+  // Instances whose bounds leave SSP open, probed at ε a little above and a
+  // little below exact SSP: every early decision there is close, so this is
+  // where the α-spent looks could go wrong.
+  Rng rng(9091);
+  const double xi = VerifierOptions().mc.xi;
+  int instances = 0;
+  int runs = 0;
+  int early = 0;
+  int wrong = 0;
+  for (int trial = 0; trial < 200 && instances < 4; ++trial) {
+    const Instance in = RandomInstance(&rng);
+    const double exact = ExactSsp(in);
+    if (in.max_marginal >= exact - 0.1 || in.v <= exact + 0.1) continue;
+    ++instances;
+    for (const double epsilon : {exact - 0.05, exact + 0.05}) {
+      for (uint64_t seed = 0; seed < 100; ++seed) {
+        const SampleOutcome out = Decide(in, epsilon, 1000 + seed);
+        ++runs;
+        if (!out.decided_early) continue;
+        ASSERT_GT(out.drawn, 0u);  // the bounds cannot decide here
+        ++early;
+        if ((out.estimate >= epsilon) != (exact >= epsilon)) ++wrong;
+      }
+    }
+  }
+  ASSERT_EQ(instances, 4);
+  EXPECT_GT(early, 0);
+  EXPECT_LE(wrong, xi * runs) << wrong << " wrong of " << runs << " runs, "
+                              << early << " decided early";
 }
 
 }  // namespace
